@@ -117,6 +117,30 @@ class BudgetLedger:
             count += 1
         return count
 
+    def check_many(self, users, epsilons) -> None:
+        """Raise where :meth:`charge_many` would, without charging anything.
+
+        Replays :meth:`charge_many`'s row-order float accumulation over the
+        rows' users on scratch totals, so a caller can refuse a whole batch
+        before writing any of it.  A no-op on an uncapped ledger.
+        """
+        cap = self.cap
+        if cap is None:
+            return
+        spent = self._spent
+        pending: dict[int, float] = {}
+        for user, epsilon in zip(_as_scalar_list(users), _as_scalar_list(epsilons)):
+            if epsilon < 0:
+                check_non_negative("epsilon", epsilon)
+            user = int(user)
+            total = pending[user] if user in pending else spent.get(user, 0.0)
+            total += float(epsilon)
+            if total > cap + 1e-12:
+                raise BudgetError(
+                    f"user {user} would spend {total:.4g} exceeding cap {cap:.4g}"
+                )
+            pending[user] = total
+
     def spent(self, user: int) -> float:
         """Total epsilon spent by ``user`` (sequential composition)."""
         return self._spent.get(int(user), 0.0)

@@ -125,10 +125,9 @@ class LocationMonitor:
         """Inter-area flow counts for aligned consecutive-step cell pairs.
 
         ``src_cells[i]`` / ``dst_cells[i]`` are one user's cells at times
-        ``t`` and ``t + 1`` — the caller has already matched the rows (the
-        live-metric fold pairs each round's rows with the previous round's
-        per user).  Counting matches :meth:`flows_from_arrays` restricted to
-        those steps exactly: same area coding, same Counter values.
+        ``t`` and ``t + 1`` — the caller has already matched the rows.
+        Counting matches :meth:`flows_from_arrays` restricted to those steps
+        exactly: same area coding, same Counter values.
         """
         src_cells = np.asarray(src_cells, dtype=int)
         dst_cells = np.asarray(dst_cells, dtype=int)

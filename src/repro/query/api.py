@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, AbstractSet, Mapping
 from repro.core.accounting import BudgetLedger
 from repro.errors import DataError, SnapshotUnavailableError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
+from repro.server.live_metrics import missing_shards
 from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE
 from repro.store.store import TraceStore, open_store
 
@@ -198,7 +199,11 @@ class QueryEngine:
     # Coverage (the live-metrics frontier rule)
     # ------------------------------------------------------------------
     def missing_shards(self, upto: int) -> list[int]:
-        """Shards still owed a commit at any round ``<= upto`` (sorted)."""
+        """Shards still owed a commit at any round ``<= upto`` (sorted).
+
+        :func:`~repro.server.live_metrics.missing_shards` over the store's
+        commit marks — the rule live snapshots freeze by.
+        """
         committed = self.store.committed()
         expected = self._expected
         if expected is None:
@@ -209,15 +214,7 @@ class QueryEngine:
             else:
                 shard_ids = sorted({shard for shard, _ in committed})
             expected = {shard: rounds for shard in shard_ids}
-        upto = int(upto)
-        return sorted(
-            {
-                shard
-                for shard, rounds in expected.items()
-                for time in rounds
-                if time <= upto and (shard, time) not in committed
-            }
-        )
+        return missing_shards(expected, committed, upto)
 
     def _check_coverage(self, upto: int) -> None:
         missing = self.missing_shards(upto)

@@ -30,13 +30,14 @@ Bit-identity contract
 ---------------------
 Every frozen live value equals :func:`batch_recompute` — one from-scratch
 pass over the full raw rows — **bitwise**, at every round, for every shard
-count, execution backend, committer (sync / async / partitioned), commit
-arrival order, and across a kill-and-resume.  Three properties make this
-hold:
+count, execution backend, committer (sync / async), commit arrival order,
+and across a kill-and-resume.  Three properties make this hold:
 
-* deltas are pure functions of a shard's rows: the fold lexsorts rows by
-  ``(time, user)`` first, so arrival layout (user-major from a live worker,
-  time-major from a store replay) cannot leak into the value;
+* deltas are pure functions of a shard's rows: the per-row terms are taken
+  after a ``(time, user)`` lexsort, and the occupancy and transition counts
+  come from the commit's :class:`~repro.store.accelerator.ShardDelta` (the
+  same increments the store upserts), so arrival layout (user-major from a
+  live worker, time-major from a store replay) cannot leak into the value;
 * all folding happens in one canonical order — rounds ascending, shards
   ascending within a round, users ascending within a shard — regardless of
   the order commits *arrive* in, so the per-key arrays reassemble the
@@ -53,7 +54,7 @@ documents the contract.
 from __future__ import annotations
 
 import threading
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping, Sequence
@@ -65,6 +66,7 @@ from repro.epidemic.analysis import pair_events
 from repro.epidemic.monitor import LocationMonitor, MonitoringReport, _flow_l1_error
 from repro.errors import DataError, SnapshotUnavailableError, ValidationError
 from repro.geo.grid import GridWorld
+from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE, ShardDelta
 from repro.utils.validation import check_positive, check_probability
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -83,6 +85,7 @@ __all__ = [
     "batch_recompute",
     "default_views",
     "expected_coverage",
+    "missing_shards",
 ]
 
 
@@ -156,12 +159,82 @@ class ShardRows:
             yield int(time), int(bounds[index]), int(bounds[index + 1])
 
 
+def _of_kind(table: np.ndarray, kind: int) -> np.ndarray:
+    """The rows of one :class:`ShardDelta` table whose ``kind`` column is ``kind``."""
+    return table[table[:, 0] == kind]
+
+
+def _occupancy_by_round(delta: ShardDelta, kind: int) -> dict[int, Counter]:
+    """``round -> {(round, cell): head count}`` from the delta's cell counts."""
+    out: dict[int, Counter] = defaultdict(Counter)
+    for _, time, cell, count in _of_kind(delta.cell_counts, kind).tolist():
+        out[time][(time, cell)] = count
+    return out
+
+
+def _area_flows_by_round(
+    monitor: LocationMonitor, delta: ShardDelta, kind: int
+) -> dict[int, Counter]:
+    """``round -> {(src area, dst area): n}`` regrouped from the delta's cell flows.
+
+    Each cell-level ``(t-1, t)`` transition count is keyed by destination
+    round ``t``; mapping both cells to areas and summing is integer
+    arithmetic, so the result equals pairing the rows per user directly.
+    The E1 and E11 views share it.
+    """
+    flows = _of_kind(delta.flows, kind)
+    if not len(flows):
+        return {}
+    n_areas = monitor.n_areas
+    codes = (
+        flows[:, 1] * n_areas + monitor.area_of_batch(flows[:, 2])
+    ) * n_areas + monitor.area_of_batch(flows[:, 3])
+    uniques, inverse = np.unique(codes, return_inverse=True)
+    totals = np.zeros(len(uniques), dtype=np.int64)
+    np.add.at(totals, inverse, flows[:, 4])
+    out: dict[int, Counter] = defaultdict(Counter)
+    for code, count in zip(uniques.tolist(), totals.tolist()):
+        time, pair = divmod(code, n_areas * n_areas)
+        out[time][divmod(pair, n_areas)] = count
+    return out
+
+
+def _area_flows(monitor: LocationMonitor, delta: ShardDelta) -> dict[str, dict[int, Counter]]:
+    """The ``true`` / ``observed`` flow components of both flow views."""
+    return {
+        "true": _area_flows_by_round(monitor, delta, KIND_TRUE),
+        "observed": _area_flows_by_round(monitor, delta, KIND_OBSERVED),
+    }
+
+
+def _per_round(
+    rows: ShardRows,
+    flows: Mapping[str, Mapping[int, Counter]],
+    sums: Mapping[str, np.ndarray] = MappingProxyType({}),
+) -> dict[int, MetricShardResult]:
+    """One partial per round of ``rows``.
+
+    Per-row ``sums`` are sliced to the round's rows; each ``flows``
+    component is its ``round -> Counter`` entry (empty when the round has
+    none).
+    """
+    return {
+        time: MetricShardResult(
+            sums={name: values[start:stop] for name, values in sums.items()},
+            counts=np.ones(stop - start, dtype=int),
+            flows={name: by_round.get(time, Counter()) for name, by_round in flows.items()},
+        )
+        for time, start, stop in rows.round_slices()
+    }
+
+
 class LiveMetricView:
     """One incrementally maintained metric: delta fold plus finalizer.
 
     Subclasses implement :meth:`shard_deltas` (pure function of one shard's
-    canonical rows, one exact-mergeable delta per round) and
-    :meth:`finalize` (cumulative partial -> the metric's value object).
+    canonical rows and its commit :class:`~repro.store.accelerator.ShardDelta`,
+    one exact-mergeable delta per round) and :meth:`finalize` (cumulative
+    partial -> the metric's value object).
     The registry owns ordering, freezing, and snapshot bookkeeping, so a
     view never sees commit concurrency.
     """
@@ -172,8 +245,13 @@ class LiveMetricView:
         """The merge identity carrying this view's component names."""
         raise NotImplementedError
 
-    def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
-        """Per-round delta partials for one shard's rows (keyed by round)."""
+    def shard_deltas(self, rows: ShardRows, delta: ShardDelta) -> dict[int, MetricShardResult]:
+        """Per-round delta partials for one shard's rows (keyed by round).
+
+        ``delta`` is the shard's commit delta, built from the same rows; a
+        view reads occupancy and transitions from it instead of counting
+        them again.
+        """
         raise NotImplementedError
 
     def finalize(self, partial: MetricShardResult):
@@ -187,9 +265,10 @@ class MonitoringUtilityView(LiveMetricView):
     Per-row error and area-hit contributions ride the per-key partial-sum
     kind (each key is one release, so no intra-key float addition exists at
     all — the only reduction is the final ``np.sum`` over the canonical
-    array); inter-area flows ride the Counter kind, each ``(t-1, t)``
-    transition assigned to the destination round's delta so the cumulative
-    fold at round ``r`` counts exactly the transitions a prefix trace holds.
+    array); inter-area flows ride the Counter kind, regrouped from the
+    commit delta's cell flows, each ``(t-1, t)`` transition assigned to the
+    destination round's delta so the cumulative fold at round ``r`` counts
+    exactly the transitions a prefix trace holds.
     """
 
     def __init__(
@@ -206,7 +285,7 @@ class MonitoringUtilityView(LiveMetricView):
     def empty(self) -> MetricShardResult:
         return MetricShardResult.empty(("error", "area_hits"), ("true", "observed"))
 
-    def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
+    def shard_deltas(self, rows: ShardRows, delta: ShardDelta) -> dict[int, MetricShardResult]:
         monitor = self.monitor
         centres = self.world.coords_array(rows.true_cells)
         errors = np.hypot(
@@ -216,36 +295,9 @@ class MonitoringUtilityView(LiveMetricView):
             monitor.area_of_batch(rows.snapped_cells)
             == monitor.area_of_batch(rows.true_cells)
         ).astype(float)
-
-        deltas: dict[int, MetricShardResult] = {}
-        previous: tuple[int, int, int] | None = None  # (round, start, stop)
-        for time, start, stop in rows.round_slices():
-            true_flows: Counter = Counter()
-            observed_flows: Counter = Counter()
-            if previous is not None and previous[0] == time - 1:
-                p_start, p_stop = previous[1], previous[2]
-                _, prev_index, cur_index = np.intersect1d(
-                    rows.users[p_start:p_stop],
-                    rows.users[start:stop],
-                    assume_unique=True,
-                    return_indices=True,
-                )
-                if prev_index.size:
-                    true_flows = monitor.flows_between(
-                        rows.true_cells[p_start:p_stop][prev_index],
-                        rows.true_cells[start:stop][cur_index],
-                    )
-                    observed_flows = monitor.flows_between(
-                        rows.snapped_cells[p_start:p_stop][prev_index],
-                        rows.snapped_cells[start:stop][cur_index],
-                    )
-            deltas[time] = MetricShardResult(
-                sums={"error": errors[start:stop], "area_hits": hits[start:stop]},
-                counts=np.ones(stop - start, dtype=int),
-                flows={"true": true_flows, "observed": observed_flows},
-            )
-            previous = (time, start, stop)
-        return deltas
+        return _per_round(
+            rows, _area_flows(monitor, delta), sums={"error": errors, "area_hits": hits}
+        )
 
     def finalize(self, partial: MetricShardResult) -> MonitoringReport:
         return MonitoringReport(
@@ -271,7 +323,8 @@ class ContactRateView(LiveMetricView):
     """E2 live: epoch-keyed occupancy counters -> contact rate and R0.
 
     The per-round delta is a pair of ``(time, cell) -> head count``
-    occupancy counters (true cells and snapped cells); merging is integer
+    occupancy counters (true cells and snapped cells), read from the commit
+    delta's cell counts; merging is integer
     Counter addition, so no ordering can perturb it.  The finalizer runs the
     same estimator as :func:`repro.epidemic.analysis.contact_rate`:
     ``2 * pair_events / observations``, then ``R0 = p * c / gamma`` — the
@@ -293,27 +346,14 @@ class ContactRateView(LiveMetricView):
     def empty(self) -> MetricShardResult:
         return MetricShardResult.empty((), ("true_occupancy", "perturbed_occupancy"))
 
-    def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
-        deltas: dict[int, MetricShardResult] = {}
-        for time, start, stop in rows.round_slices():
-            true_occupancy: Counter = Counter()
-            perturbed_occupancy: Counter = Counter()
-            for target, cells in (
-                (true_occupancy, rows.true_cells),
-                (perturbed_occupancy, rows.snapped_cells),
-            ):
-                uniques, counts = np.unique(cells[start:stop], return_counts=True)
-                for cell, count in zip(uniques.tolist(), counts.tolist()):
-                    target[(time, cell)] = count
-            deltas[time] = MetricShardResult(
-                sums={},
-                counts=np.ones(stop - start, dtype=int),
-                flows={
-                    "true_occupancy": true_occupancy,
-                    "perturbed_occupancy": perturbed_occupancy,
-                },
-            )
-        return deltas
+    def shard_deltas(self, rows: ShardRows, delta: ShardDelta) -> dict[int, MetricShardResult]:
+        return _per_round(
+            rows,
+            {
+                "true_occupancy": _occupancy_by_round(delta, KIND_TRUE),
+                "perturbed_occupancy": _occupancy_by_round(delta, KIND_OBSERVED),
+            },
+        )
 
     def finalize(self, partial: MetricShardResult) -> ContactSnapshot:
         observations = partial.n_releases
@@ -362,37 +402,8 @@ class FlowMatrixView(LiveMetricView):
     def empty(self) -> MetricShardResult:
         return MetricShardResult.empty((), ("true", "observed"))
 
-    def shard_deltas(self, rows: ShardRows) -> dict[int, MetricShardResult]:
-        monitor = self.monitor
-        deltas: dict[int, MetricShardResult] = {}
-        previous: tuple[int, int, int] | None = None
-        for time, start, stop in rows.round_slices():
-            true_flows: Counter = Counter()
-            observed_flows: Counter = Counter()
-            if previous is not None and previous[0] == time - 1:
-                p_start, p_stop = previous[1], previous[2]
-                _, prev_index, cur_index = np.intersect1d(
-                    rows.users[p_start:p_stop],
-                    rows.users[start:stop],
-                    assume_unique=True,
-                    return_indices=True,
-                )
-                if prev_index.size:
-                    true_flows = monitor.flows_between(
-                        rows.true_cells[p_start:p_stop][prev_index],
-                        rows.true_cells[start:stop][cur_index],
-                    )
-                    observed_flows = monitor.flows_between(
-                        rows.snapped_cells[p_start:p_stop][prev_index],
-                        rows.snapped_cells[start:stop][cur_index],
-                    )
-            deltas[time] = MetricShardResult(
-                sums={},
-                counts=np.ones(stop - start, dtype=int),
-                flows={"true": true_flows, "observed": observed_flows},
-            )
-            previous = (time, start, stop)
-        return deltas
+    def shard_deltas(self, rows: ShardRows, delta: ShardDelta) -> dict[int, MetricShardResult]:
+        return _per_round(rows, _area_flows(self.monitor, delta))
 
     def finalize(self, partial: MetricShardResult) -> FlowSnapshot:
         return FlowSnapshot(
@@ -435,6 +446,30 @@ def expected_coverage(plan: "ShardPlan", true_db: "TraceDB") -> dict[int, frozen
     return coverage
 
 
+def missing_shards(
+    expected: Mapping[int, AbstractSet[int]],
+    committed: AbstractSet[tuple[int, int]],
+    upto: int,
+) -> list[int]:
+    """Shards still owed a commit at any round ``<= upto`` (sorted).
+
+    The one coverage rule: a round is complete once every ``(shard, round)``
+    pair ``expected`` (:func:`expected_coverage`) lists at or before it is in
+    ``committed``.  Live snapshots freeze by it, the query engine refuses
+    windows by it, and a resumed run replays exactly the shards it leaves
+    out.
+    """
+    upto = int(upto)
+    return sorted(
+        {
+            shard
+            for shard, rounds in expected.items()
+            for time in rounds
+            if time <= upto and (shard, time) not in committed
+        }
+    )
+
+
 class LiveMetricRegistry:
     """Per-round version chain of frozen metric partials, fed at commit time.
 
@@ -446,17 +481,16 @@ class LiveMetricRegistry:
         ``shard -> rounds`` coverage (see :func:`expected_coverage`).  This
         is the freeze schedule *and* a validation oracle: every
         :meth:`ingest` must present exactly its shard's expected rounds, and
-        a round freezes when the shards expected at or before it have all
-        committed.
+        a round freezes when :func:`missing_shards` finds no shard owed at
+        or before it.
 
     Concurrency
     -----------
     :meth:`ingest` runs under the registry lock (commit paths are already
-    serialized by the server's ingest lock; partitioned committers contend
-    only here).  :meth:`at` on a frozen round is a lock-free dictionary
-    lookup against immutable published values — O(1) in the population and
-    safe during in-flight commits, which is the Polynesia-style snapshot
-    read the module docstring describes.
+    serialized by the server's ingest lock).  :meth:`at` on a frozen round
+    is a lock-free dictionary lookup against immutable published values —
+    O(1) in the population and safe during in-flight commits, which is the
+    Polynesia-style snapshot read the module docstring describes.
     """
 
     def __init__(
@@ -478,19 +512,15 @@ class LiveMetricRegistry:
         }
         if not self._expected:
             raise ValidationError("expected coverage is empty; nothing to maintain")
-        by_round: dict[int, set[int]] = {}
-        for shard, rounds in self._expected.items():
-            for time in rounds:
-                by_round.setdefault(time, set()).add(shard)
-        self._shards_by_round = {
-            time: frozenset(shards) for time, shards in by_round.items()
-        }
-        self._rounds: tuple[int, ...] = tuple(sorted(by_round))
+        self._rounds: tuple[int, ...] = tuple(
+            sorted({time for rounds in self._expected.values() for time in rounds})
+        )
         #: round -> shard -> view name -> delta partial (dropped once frozen)
         self._pending: dict[int, dict[int, dict[str, MetricShardResult]]] = {
             time: {} for time in self._rounds
         }
-        self._committed: set[int] = set()
+        #: (shard, round) pairs folded so far (a shard folds all its rounds)
+        self._committed: set[tuple[int, int]] = set()
         self._frontier = 0  # index into self._rounds of the next round to freeze
         self._partials: dict[int, Mapping[str, MetricShardResult]] = {}
         self._values: dict[int, Mapping[str, object]] = {}
@@ -517,15 +547,23 @@ class LiveMetricRegistry:
         return MappingProxyType(self._expected)
 
     # ------------------------------------------------------------------
-    def ingest(self, shard: int, users, times, points, true_cells, snapped_cells) -> None:
+    def ingest(
+        self, shard: int, users, times, points, true_cells, snapped_cells, delta: ShardDelta
+    ) -> None:
         """Fold one committed shard's rows into the live state.
 
         Pure O(shard rows) work: per-view deltas are computed once here and
         any rounds the commit completes are frozen immediately, so query
-        cost never depends on the population.  The shard must be expected,
-        not yet folded, and must present exactly its expected rounds —
-        anything else is a :class:`~repro.errors.DataError` (a silent
-        mismatch would surface later as an inexplicable non-frozen round).
+        cost never depends on the population.  ``delta`` is the commit's
+        :class:`~repro.store.accelerator.ShardDelta` (what
+        :meth:`TraceStore.commit_shard
+        <repro.store.store.TraceStore.commit_shard>` returns, or
+        :meth:`ShardDelta.build <repro.store.accelerator.ShardDelta.build>`
+        over the same rows for a server without a store).  The shard must
+        be expected, not yet folded, and must present exactly its expected
+        rounds — anything else is a :class:`~repro.errors.DataError` (a
+        silent mismatch would surface later as an inexplicable non-frozen
+        round).
         """
         shard = int(shard)
         owned = self._expected.get(shard)
@@ -539,10 +577,10 @@ class LiveMetricRegistry:
                 f"coverage expects {sorted(owned)}"
             )
         with self._lock:
-            if shard in self._committed:
+            if (shard, min(owned)) in self._committed:
                 raise DataError(f"shard {shard} was already folded into the live state")
-            deltas = {view.name: view.shard_deltas(rows) for view in self._views}
-            self._committed.add(shard)
+            deltas = {view.name: view.shard_deltas(rows, delta) for view in self._views}
+            self._committed.update((shard, time) for time in owned)
             for name, per_round in deltas.items():
                 for time, delta in per_round.items():
                     self._pending[time].setdefault(shard, {})[name] = delta
@@ -558,7 +596,7 @@ class LiveMetricRegistry:
         """
         while self._frontier < len(self._rounds):
             time = self._rounds[self._frontier]
-            if not self._shards_by_round[time] <= self._committed:
+            if missing_shards(self._expected, self._committed, time):
                 return
             per_shard = self._pending.pop(time)
             partials: dict[str, MetricShardResult] = {}
@@ -581,21 +619,13 @@ class LiveMetricRegistry:
 
     # ------------------------------------------------------------------
     def _unavailable(self, time: int) -> SnapshotUnavailableError:
-        if time not in self._shards_by_round:
+        if time not in self._rounds:
             return ValidationError(  # type: ignore[return-value]
                 f"round {time} is not part of this run's coverage "
                 f"(rounds {list(self._rounds)})"
             )
         with self._lock:
-            missing = sorted(
-                {
-                    shard
-                    for pending_time in self._rounds[self._frontier :]
-                    if pending_time <= time
-                    for shard in self._shards_by_round[pending_time]
-                }
-                - self._committed
-            )
+            missing = missing_shards(self._expected, self._committed, time)
         return SnapshotUnavailableError(
             f"round {time} snapshot is not frozen yet: waiting on shard "
             f"commit(s) {missing} (frozen through "
@@ -629,7 +659,7 @@ class LiveMetricRegistry:
         return (
             f"LiveMetricRegistry(views={[view.name for view in self._views]}, "
             f"rounds={len(self._rounds)}, frozen={self._frontier}, "
-            f"shards={len(self._committed)}/{len(self._expected)})"
+            f"shards={len({shard for shard, _ in self._committed})}/{len(self._expected)})"
         )
 
 
@@ -675,9 +705,10 @@ def batch_recompute(
         rows = ShardRows.build(
             users[mask], times[mask], points[mask], true_cells[mask], snapped_cells[mask]
         )
+        delta = ShardDelta.build(rows.users, rows.times, rows.snapped_cells, rows.true_cells)
         for view in views:
-            for time, delta in view.shard_deltas(rows).items():
-                deltas[view.name].setdefault(time, {})[shard] = delta
+            for time, partial in view.shard_deltas(rows, delta).items():
+                deltas[view.name].setdefault(time, {})[shard] = partial
 
     rounds = sorted({time for per_view in deltas.values() for time in per_view})
     chain: dict[str, MetricShardResult] = {}

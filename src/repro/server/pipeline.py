@@ -42,7 +42,6 @@ from __future__ import annotations
 import queue
 import threading
 import time as _time
-from bisect import bisect_right
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -55,6 +54,7 @@ from repro.errors import CommitStalledError, DataError, PolicyError, ValidationE
 from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
 from repro.server.localdb import LocalLocationDB
+from repro.store.accelerator import ShardDelta
 from repro.utils.rng import ensure_rng, spawn_rngs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
@@ -63,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports core)
 __all__ = [
     "AsyncShardCommitter",
     "Client",
-    "PartitionedShardCommitters",
     "Server",
     "run_release_rounds",
     "run_release_rounds_batched",
@@ -198,10 +197,10 @@ class Server:
         else:
             self.released_db = TraceDB()
         self.ledger = ledger if ledger is not None else BudgetLedger()
-        # Serializes the commit/mutate section of ingest_shard so several
-        # partitioned committer threads can ingest concurrently: the store's
-        # single SQLite connection must not interleave transactions, and
-        # TraceDB/BudgetLedger bookkeeping is not atomic under free
+        # Serializes the commit/mutate section of ingest_shard, which the
+        # caller's thread and an async committer thread may both enter: the
+        # store's single SQLite connection must not interleave transactions,
+        # and TraceDB/BudgetLedger bookkeeping is not atomic under free
         # threading.  Snapping and lexsort stay outside the lock.
         self._ingest_lock = threading.Lock()
         self._metrics = None
@@ -218,9 +217,8 @@ class Server:
         """Maintain ``views`` live from this server's shard commit path.
 
         Every subsequent :meth:`ingest_shard` (including commits arriving
-        through :class:`AsyncShardCommitter` and
-        :class:`PartitionedShardCommitters` — all three funnel through the
-        same choke point) folds its shard into a
+        through :class:`AsyncShardCommitter` — both funnel through the same
+        choke point) folds its shard into a
         :class:`~repro.server.live_metrics.LiveMetricRegistry` built over
         ``expected`` (``shard -> rounds``, see
         :func:`~repro.server.live_metrics.expected_coverage`).  Read the
@@ -373,7 +371,12 @@ class Server:
         SQLite transaction *before* any in-memory mutation.  A crash
         therefore never leaves the store ahead of or torn relative to what
         a resume can rebuild: either the shard is fully durable (and will
-        be replayed / skipped) or absent (and will be re-derived).
+        be replayed / skipped) or absent (and will be re-derived).  When the
+        ledger has a cap, the shard is first checked against it without
+        charging (:meth:`~repro.core.accounting.BudgetLedger.check_many`),
+        so an over-budget shard raises
+        :class:`~repro.errors.BudgetError` before the store, the trace, the
+        ledger or the live views change.
 
         Commit order and determinism
         ----------------------------
@@ -410,13 +413,19 @@ class Server:
                     "live metric views require batch.cells to carry the "
                     "ground-truth cells (the shard streaming contract)"
                 )
+        # batch.cells carry the ground-truth cells (the shard streaming
+        # contract): the store keeps only their aggregate accelerator
+        # summaries, never the per-row values; `cells` is the server-side
+        # snapped view.
+        true_cells = None if batch.cells is None else np.asarray(batch.cells, dtype=np.int64)
         order = np.lexsort((users, times))  # commit by (time, user)
         with self._ingest_lock:
+            if self.ledger.cap is not None:
+                # Refuse an over-budget shard before anything is written.
+                self.ledger.check_many(users[order], batch.epsilons[order])
+            delta = None
             if self.store is not None:
-                # batch.cells carry the ground-truth cells (the shard
-                # streaming contract): the store keeps only their aggregate
-                # accelerator summaries, never the per-row values.
-                self.store.commit_shard(
+                delta = self.store.commit_shard(
                     int(shard),
                     users,
                     times,
@@ -427,12 +436,10 @@ class Server:
                         cells=np.asarray(cells, dtype=np.int64),
                         mechanism=batch.mechanism,
                     ),
-                    true_cells=(
-                        None
-                        if batch.cells is None
-                        else np.asarray(batch.cells, dtype=np.int64)
-                    ),
+                    true_cells=true_cells,
                 )
+            elif self._metrics is not None:
+                delta = ShardDelta.build(users, times, cells, true_cells)
             if not self.out_of_core:
                 self.released_db.record_many(users[order], times[order], cells[order])
             self.ledger.charge_many(
@@ -441,16 +448,9 @@ class Server:
             if self._metrics is not None:
                 # Fold inside the commit section: the registry sees exactly
                 # the committed rows, once, no matter which committer
-                # (sync / async / partitioned) delivered them.  batch.cells
-                # are the ground-truth cells (the shard streaming
-                # contract); `cells` the server-side snapped view.
+                # delivered them, and folds the commit's own delta.
                 self._metrics.ingest(
-                    int(shard),
-                    users,
-                    times,
-                    batch.points,
-                    np.asarray(batch.cells, dtype=int),
-                    np.asarray(cells, dtype=int),
+                    int(shard), users, times, batch.points, true_cells, cells, delta
                 )
         return cells
 
@@ -477,12 +477,15 @@ class Server:
         points (SQLite REALs round-trip float64 exactly), and ``shard`` /
         ``true_cells`` become mandatory — ``true_cells(users, times)`` must
         resolve the ground-truth cells, which the store deliberately never
-        persists.  Because delta folds canonicalise row order, a replayed
-        fold is bit-identical to the original commit's, which is how a
+        persists.  The replay rebuilds the commit's
+        :class:`~repro.store.accelerator.ShardDelta` from the same rows, and
+        delta folds canonicalise row order, so a replayed fold is
+        bit-identical to the original commit's, which is how a
         killed-and-resumed run converges to the uninterrupted run's live
         values.
 
-        Returns the number of rows replayed.
+        A capped ledger is checked before anything changes, as in
+        :meth:`ingest_shard`.  Returns the number of rows replayed.
         """
         if self.store is None:
             raise DataError("replay_shard requires a store-backed server")
@@ -498,18 +501,16 @@ class Server:
             )
         else:
             users, times, cells, epsilons = self.store.shard_rows(low_user, high_user)
+        if self.ledger.cap is not None:
+            self.ledger.check_many(users, epsilons)
+        if self._metrics is not None:
+            truth = np.asarray(true_cells(users, times), dtype=np.int64)
+            delta = ShardDelta.build(users, times, cells, truth)
         if not self.out_of_core:
             self.released_db.record_many(users, times, cells)
         self.ledger.charge_many(users, times, epsilons, purpose=purpose)
         if self._metrics is not None:
-            self._metrics.ingest(
-                int(shard),
-                users,
-                times,
-                points,
-                np.asarray(true_cells(users, times), dtype=int),
-                cells,
-            )
+            self._metrics.ingest(int(shard), users, times, points, truth, cells, delta)
         return len(users)
 
     def push_policy(self, client: Client, policy: PolicyGraph) -> None:
@@ -526,33 +527,6 @@ class Server:
         (and any commit error re-raised) when the producing loop ends.
         """
         return AsyncShardCommitter(self, max_pending=max_pending, purpose=purpose)
-
-    def partitioned_committers(
-        self,
-        partitions: int,
-        users: Sequence[int],
-        max_pending: int = 2,
-        purpose: str = "stream",
-        close_timeout: float | None = 60.0,
-    ) -> "PartitionedShardCommitters":
-        """``partitions`` user-range committer partitions over ``users``.
-
-        Each partition owns a contiguous range of the sorted population and
-        its own :class:`AsyncShardCommitter` thread, so ingest scales out
-        with the release workers instead of funnelling every shard through
-        one commit thread (LSST-style partitioned ingest).  Valid because
-        per-user server state is scheduling-independent — see
-        :class:`PartitionedShardCommitters` for the routing and ordering
-        rules.
-        """
-        return PartitionedShardCommitters(
-            self,
-            users=users,
-            partitions=partitions,
-            max_pending=max_pending,
-            purpose=purpose,
-            close_timeout=close_timeout,
-        )
 
 
 class AsyncShardCommitter:
@@ -628,15 +602,9 @@ class AsyncShardCommitter:
             seq, users, times, batch, shard = item
             if self._error is None:
                 try:
-                    if shard is None:
-                        # Keep the historical 3-arg call shape so Server
-                        # subclasses that predate store-backed ingestion
-                        # (and accept no shard kwarg) keep working.
-                        self._server.ingest_shard(users, times, batch, purpose=self._purpose)
-                    else:
-                        self._server.ingest_shard(
-                            users, times, batch, purpose=self._purpose, shard=shard
-                        )
+                    self._server.ingest_shard(
+                        users, times, batch, purpose=self._purpose, shard=shard
+                    )
                 except BaseException as exc:  # re-raised on submit/close
                     self._error = exc
             self._pending_labels.pop(seq, None)
@@ -651,8 +619,8 @@ class AsyncShardCommitter:
         shutdown should see the real failure, not a
         :class:`~repro.errors.ValidationError` masking it).
 
-        ``shard`` is forwarded to :meth:`Server.ingest_shard` for
-        store-backed servers; omit it for in-memory ingestion.
+        ``shard`` is forwarded to :meth:`Server.ingest_shard` as ``shard=``
+        (``None`` when omitted, which in-memory ingestion allows).
         """
         if self._error is not None:
             self.close()  # re-raises the pending commit error
@@ -729,147 +697,6 @@ class AsyncShardCommitter:
         return f"AsyncShardCommitter(max_pending={self._queue.maxsize}, {state})"
 
 
-class PartitionedShardCommitters:
-    """Per-user-range committer partitions: parallel ingest, one owner per user.
-
-    ``partitions`` independent :class:`AsyncShardCommitter` threads, each
-    owning a contiguous range of the sorted user population (the same
-    balanced split rule :class:`~repro.engine.sharding.ShardPlan` uses for
-    shards).  :meth:`submit` routes a **whole shard** to the partition that
-    owns the shard's lowest user id, so partitions commit concurrently while
-    per-user guarantees survive intact.
-
-    Routing and ordering rules
-    --------------------------
-    * Routing granularity is a whole shard: all rows submitted together stay
-      together.  A shard belongs to the partition owning its first (lowest)
-      user — shards and partitions are both contiguous ranges of the same
-      sorted user list, so this keeps each partition's shard set contiguous.
-    * Every user lives in exactly one shard, and every shard is routed to
-      exactly one partition, so all of one user's rows flow through a single
-      committer in submission order — per-user server state (trace rows,
-      ledger totals in time order) is element-wise identical to synchronous
-      or single-committer ingestion.  Only the interleaving of *different*
-      users' ledger entries varies with scheduling, exactly as in the
-      single-committer contract.
-    * Commits from different partitions are serialized at the server by its
-      ingest lock (one SQLite transaction / bookkeeping section at a time);
-      partitioning buys overlap of the pre-commit work (snap, lexsort,
-      pickling) and bounded per-partition backpressure, not torn state.
-
-    Failure semantics follow :class:`AsyncShardCommitter`: :meth:`close`
-    closes every partition (bounded by each one's ``close_timeout``), then
-    re-raises the first error with any other partitions' failures attached
-    as PEP 678 notes.
-    """
-
-    def __init__(
-        self,
-        server: Server,
-        users: Sequence[int],
-        partitions: int,
-        max_pending: int = 2,
-        purpose: str = "stream",
-        close_timeout: float | None = 60.0,
-    ) -> None:
-        population = sorted({int(user) for user in users})
-        if not population:
-            raise ValidationError("partitioned committers need a non-empty user population")
-        if int(partitions) < 1:
-            raise ValidationError(f"partitions must be >= 1, got {partitions}")
-        requested = int(partitions)
-        n = len(population)
-        k = min(requested, n)  # empty partitions would never receive a shard
-        base, extra = divmod(n, k)
-        self._starts: list[int] = []
-        cursor = 0
-        for index in range(k):
-            self._starts.append(population[cursor])
-            cursor += base + (1 if index < extra else 0)
-        self._low = population[0]
-        self._high = population[-1]
-        self._committers = [
-            AsyncShardCommitter(
-                server,
-                max_pending=max_pending,
-                purpose=purpose,
-                close_timeout=close_timeout,
-            )
-            for _ in range(k)
-        ]
-
-    @property
-    def partitions(self) -> int:
-        """Number of live partitions (capped at the population size)."""
-        return len(self._committers)
-
-    def partition_of(self, user: int) -> int:
-        """Index of the partition owning ``user``'s contiguous range."""
-        user = int(user)
-        if not self._low <= user <= self._high:
-            raise ValidationError(
-                f"user {user} is outside the partitioned population "
-                f"[{self._low}, {self._high}]"
-            )
-        return max(0, bisect_right(self._starts, user) - 1)
-
-    def submit(self, users, times, batch: ReleaseBatch, shard: int | None = None) -> None:
-        """Route one whole shard to its owning partition's committer.
-
-        Blocks on that partition's ``max_pending`` bound; re-raises the
-        first commit error of *that* partition, like
-        :meth:`AsyncShardCommitter.submit`.
-        """
-        if len(users) == 0:
-            return
-        owner = self.partition_of(int(users[0]))
-        self._committers[owner].submit(users, times, batch, shard=shard)
-
-    @property
-    def pending(self) -> int:
-        """Shards queued but uncommitted across all partitions (approximate)."""
-        return sum(committer.pending for committer in self._committers)
-
-    def close(self, timeout: float | None = None) -> None:
-        """Close every partition; first error wins, the rest become notes."""
-        errors: list[BaseException] = []
-        for committer in self._committers:
-            try:
-                committer.close(timeout=timeout)
-            except BaseException as exc:  # noqa: BLE001 - collected, re-raised
-                errors.append(exc)
-        if errors:
-            primary = errors[0]
-            for extra in errors[1:]:
-                if hasattr(primary, "add_note"):
-                    primary.add_note(f"another partition also failed: {extra!r}")
-            raise primary
-
-    def __enter__(self) -> "PartitionedShardCommitters":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-            return
-        try:
-            # The producer already failed; drain whole queued shards but let
-            # the producer's exception win over any commit error.
-            self.close()
-        except BaseException as commit_error:  # noqa: BLE001
-            if exc is not None and hasattr(exc, "add_note"):
-                exc.add_note(
-                    f"partitioned shard committers also failed while draining: "
-                    f"{commit_error!r}"
-                )
-
-    def __repr__(self) -> str:
-        return (
-            f"PartitionedShardCommitters(partitions={self.partitions}, "
-            f"pending={self.pending})"
-        )
-
-
 def run_release_rounds(
     world: GridWorld,
     true_db: TraceDB,
@@ -940,7 +767,6 @@ def run_release_rounds_batched(
     shards: int | None = None,
     backend=None,
     async_ingest: "bool | int" = False,
-    ingest_partitions: int | None = None,
     store=None,
     resume: bool = False,
     out_of_core: bool = False,
@@ -991,14 +817,6 @@ def run_release_rounds_batched(
         requesting async ingestion without ``shards`` / ``backend`` (or a
         spec execution block) raises :class:`~repro.errors.ValidationError`
         rather than silently switching RNG layouts.
-    ingest_partitions:
-        Scale ingestion itself out: commit through ``n`` per-user-range
-        committer partitions (:meth:`Server.partitioned_committers`) instead
-        of one committer thread, each shard routed to the partition owning
-        its lowest user.  Implies asynchronous ingestion (``async_ingest``
-        then only sets the per-partition queue depth) and, like it,
-        requires the sharded path.  Per-user server state is element-wise
-        unchanged — see :class:`PartitionedShardCommitters`.
     store:
         Optional durable store — a live :class:`~repro.store.TraceStore`,
         a path, or ``None``.  When set, every shard commits transactionally
@@ -1063,10 +881,8 @@ def run_release_rounds_batched(
         resume = bool(resume or getattr(execution, "resume", False))
         if live_metrics is False and getattr(execution, "live_metrics", False):
             live_metrics = True
-    if ingest_partitions is not None and int(ingest_partitions) < 1:
-        raise ValidationError(f"ingest_partitions must be >= 1, got {ingest_partitions}")
     if shards is None and backend is None and execution is None:
-        if async_ingest or ingest_partitions is not None:
+        if async_ingest:
             raise ValidationError(
                 "async ingestion rides the sharded streaming path; "
                 "pass shards= and/or backend= to enable it"
@@ -1112,6 +928,7 @@ def run_release_rounds_batched(
     from contextlib import ExitStack
 
     from repro.engine.sharding import ShardPlan, stream_shard_releases
+    from repro.server.live_metrics import default_views, expected_coverage, missing_shards
 
     # Each half of the spec's execution block is an independent default, so
     # overriding just the backend keeps the spec's shard count (and vice
@@ -1140,14 +957,15 @@ def run_release_rounds_batched(
         else:
             server = Server(world)
         true_cells_of = None
+        coverage = (
+            expected_coverage(plan, true_db) if live_metrics or committed else None
+        )
         if live_metrics:
             # Attached before any replay so a resumed run folds its
             # replayed shards back into the registry — the rebuilt live
             # state then equals the uninterrupted run's at every round.
-            from repro.server.live_metrics import default_views, expected_coverage
-
             views = default_views(world) if live_metrics is True else list(live_metrics)
-            server.attach_metrics(views, expected_coverage(plan, true_db))
+            server.attach_metrics(views, coverage)
 
             def true_cells_of(row_users, row_times):
                 # The store never persists ground-truth cells; resolve them
@@ -1174,30 +992,21 @@ def run_release_rounds_batched(
 
         if committed:
             # A shard is recoverable iff every (shard, round) pair it
-            # would produce is durably marked; partially committed
-            # shards cannot exist (marks travel in the shard's own
-            # transaction), and a shard whose rounds are all marked is
-            # replayed from disk instead of re-derived.
-            committed_rounds: dict[int, set[int]] = {}
-            for shard_id, round_time in committed:
-                committed_rounds.setdefault(shard_id, set()).add(round_time)
-            remaining = set()
+            # would produce is durably marked — the same rule that freezes
+            # live snapshots.  Partially committed shards cannot exist
+            # (marks travel in the shard's own transaction); a recoverable
+            # shard is replayed from disk instead of re-derived.
+            last_round = max(max(rounds) for rounds in coverage.values())
+            owed = frozenset(missing_shards(coverage, committed, last_round))
             for shard_id, shard_users, _ in plan.iter_shards():
-                expected = {
-                    checkin.time
-                    for user in shard_users
-                    for checkin in true_db.user_history(user)
-                }
-                if expected and expected <= committed_rounds.get(shard_id, set()):
+                if shard_id in coverage and shard_id not in owed:
                     server.replay_shard(
                         shard_users[0],
                         shard_users[-1],
                         shard=shard_id,
                         true_cells=true_cells_of,
                     )
-                else:
-                    remaining.add(shard_id)
-            only_shards = frozenset(remaining)
+            only_shards = owed
         # Streaming ingestion: each shard is committed the moment its worker
         # finishes (ordered by (time, user) within the shard) instead of
         # holding all shards for a merge barrier.  Per-user server state is
@@ -1211,18 +1020,7 @@ def run_release_rounds_batched(
                     # close it when the run ends (or raises), exactly like
                     # a named backend.
                     backend = stack.enter_context(execution.build())
-                if ingest_partitions is not None:
-                    # Partitioned ingest implies async; async_ingest (when
-                    # given as an int) sets the per-partition queue depth.
-                    committer = stack.enter_context(
-                        server.partitioned_committers(
-                            int(ingest_partitions),
-                            users=plan.users,
-                            max_pending=2 if async_ingest in (False, True) else int(async_ingest),
-                        )
-                    )
-                    commit = committer.submit
-                elif async_ingest:
+                if async_ingest:
                     # Entered after the backend, so on exit the committer
                     # drains (committing every whole queued shard) before
                     # the backend closes.
@@ -1237,21 +1035,15 @@ def run_release_rounds_batched(
                 for shard_users, shard_times, batch in stream_shard_releases(
                     engine, true_db, plan, backend=backend, only_shards=only_shards
                 ):
-                    if live_store is not None or server.metrics is not None:
-                        # Shards own contiguous blocks of the sorted user
-                        # list, so any member identifies the shard (it keys
-                        # the durable commit and the live metric deltas).
-                        commit(
-                            shard_users,
-                            shard_times,
-                            batch,
-                            shard=plan.shard_of(int(shard_users[0])),
-                        )
-                    else:
-                        # Historical 3-arg shape: Server subclasses
-                        # predating store-backed ingestion accept no shard
-                        # kwarg.
-                        commit(shard_users, shard_times, batch)
+                    # Shards own contiguous blocks of the sorted user list,
+                    # so any member identifies the shard (it keys the
+                    # durable commit and the live metric deltas).
+                    commit(
+                        shard_users,
+                        shard_times,
+                        batch,
+                        shard=plan.shard_of(int(shard_users[0])),
+                    )
     except BaseException:
         if owned_store:
             live_store.close()

@@ -28,19 +28,23 @@ Tables (created by :func:`repro.store.schema.create_schema`):
 ``user_summary``
     ``user -> (n_rows, min_time, max_time)``: per-user bounds, serving
     :meth:`TraceStore.users <repro.store.store.TraceStore.users>` and
-    trajectory planning without a ``SELECT DISTINCT`` scan.
+    trajectory planning without a ``SELECT DISTINCT`` scan.  Written once
+    per user: a commit carries each of its users' whole trace, and the
+    primary key refuses a commit that would extend a stored user.
 
-Every delta is a pure function of the committed rows, merged by integer
-addition (``ON CONFLICT ... DO UPDATE SET n = n + excluded.n``), so the
-summary state is independent of shard count, backend, committer, commit
-arrival order, and kill-resume — the same argument that makes the live
-metric views bit-identical across those axes.
+Each commit's increments are built once, as a :class:`ShardDelta`, from the
+committed rows alone; the store upserts it and the live metric views fold
+the same object.  Counts merge by integer addition (``ON CONFLICT ... DO
+UPDATE SET n = n + excluded.n``), so the summary state is independent of
+shard count, backend, committer, commit arrival order, and kill-resume —
+the same argument that makes the live metric views bit-identical across
+those axes.
 """
 
 from __future__ import annotations
 
 import sqlite3
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,8 +52,8 @@ __all__ = [
     "ACCELERATOR_TABLES",
     "KIND_OBSERVED",
     "KIND_TRUE",
+    "ShardDelta",
     "apply_deltas",
-    "boundary_flow_rows",
     "cell_count_rows",
     "flow_rows",
     "user_summary_rows",
@@ -98,48 +102,49 @@ _UPSERT_FLOWS = (
     "INSERT INTO round_flows (kind, time, src, dst, n) VALUES (?, ?, ?, ?, ?) "
     "ON CONFLICT(kind, time, src, dst) DO UPDATE SET n = n + excluded.n"
 )
-_UPSERT_USER_SUMMARY = (
-    "INSERT INTO user_summary (user, n_rows, min_time, max_time) "
-    "VALUES (?, ?, ?, ?) "
-    "ON CONFLICT(user) DO UPDATE SET "
-    "n_rows = n_rows + excluded.n_rows, "
-    "min_time = MIN(min_time, excluded.min_time), "
-    "max_time = MAX(max_time, excluded.max_time)"
+_INSERT_USER_SUMMARY = (
+    "INSERT INTO user_summary (user, n_rows, min_time, max_time) VALUES (?, ?, ?, ?)"
 )
 
 
-def cell_count_rows(kind: int, times: np.ndarray, cells: np.ndarray) -> list[tuple]:
-    """``(kind, time, cell, n)`` occupancy increments for one commit's rows."""
+def cell_count_rows(kind: int, times: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """``(kind, time, cell, n)`` occupancy increments for one commit's rows.
+
+    Sorted by ``(time, cell)``; an ``(m, 4)`` int64 array.
+    """
     if len(times) == 0:
-        return []
+        return np.empty((0, 4), dtype=np.int64)
     # Encoded int64 keys: one flat np.unique instead of the (much slower)
     # axis=0 row-wise variant — this runs inside every commit.
     base = int(cells.max()) + 1
     codes = times.astype(np.int64) * base + cells
     uniques, counts = np.unique(codes, return_counts=True)
     kinds = np.full(len(uniques), int(kind), dtype=np.int64)
-    return np.column_stack((kinds, uniques // base, uniques % base, counts)).tolist()
+    return np.column_stack((kinds, uniques // base, uniques % base, counts))
 
 
 def flow_rows(
     kind: int, users: np.ndarray, times: np.ndarray, cells: np.ndarray
-) -> list[tuple]:
+) -> np.ndarray:
     """``(kind, time, src, dst, n)`` transition increments within one commit.
 
     Rows are sorted user-major with times ascending, so a user's consecutive
     timesteps are adjacent; each ``(t-1, t)`` step contributes one count at
-    destination round ``t``.  Only *within-commit* adjacency is counted —
-    the shard streaming contract delivers each user's whole trace in one
-    commit, and :func:`boundary_flow_rows` covers the stored side when a
-    caller commits a user's trace piecewise.
+    destination round ``t``.  Only *within-commit* adjacency is counted,
+    which is complete because a commit carries each of its users' whole
+    trace (:meth:`TraceStore.commit_shard
+    <repro.store.store.TraceStore.commit_shard>` refuses to extend a user
+    already stored).  Sorted by ``(time, src, dst)``; an ``(m, 5)`` int64
+    array.
     """
+    empty = np.empty((0, 5), dtype=np.int64)
     if len(users) < 2:
-        return []
+        return empty
     order = np.lexsort((times, users))
     u, t, c = users[order], times[order], cells[order]
     step = (u[1:] == u[:-1]) & (t[1:] == t[:-1] + 1)
     if not bool(step.any()):
-        return []
+        return empty
     dst_times = t[1:][step]
     src_cells = c[:-1][step]
     dst_cells = c[1:][step]
@@ -149,74 +154,77 @@ def flow_rows(
     kinds = np.full(len(uniques), int(kind), dtype=np.int64)
     return np.column_stack(
         (kinds, uniques // (base * base), uniques // base % base, uniques % base, counts)
-    ).tolist()
+    )
 
 
-def user_summary_rows(users: np.ndarray, times: np.ndarray) -> list[tuple]:
-    """``(user, n_rows, min_time, max_time)`` increments for one commit."""
+def user_summary_rows(users: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``(user, n_rows, min_time, max_time)`` rows for one commit's users."""
     if len(users) == 0:
-        return []
+        return np.empty((0, 4), dtype=np.int64)
     order = np.lexsort((times, users))
     u, t = users[order], times[order]
     uniques, starts, counts = np.unique(u, return_index=True, return_counts=True)
     stops = starts + counts - 1
-    return np.column_stack((uniques, counts, t[starts], t[stops])).tolist()
+    return np.column_stack((uniques, counts, t[starts], t[stops]))
 
 
-def boundary_flow_rows(
-    connection: sqlite3.Connection,
-    users: np.ndarray,
-    times: np.ndarray,
-    cells: np.ndarray,
-    prior_users: "set[int]",
-) -> list[tuple]:
-    """Observed-flow increments stitching new rows to already-stored ones.
+@dataclass(frozen=True, eq=False)
+class ShardDelta:
+    """One shard commit's summary increments, built once per commit.
 
-    When a commit adds rows for a user who already has stored rows (a
-    piecewise, per-round commit pattern rather than the whole-trace shard
-    contract), transitions between an old row and a new row exist in the
-    data but not in the commit's own adjacency.  This resolves them with
-    point lookups against the ``releases`` primary key: for each new row at
-    ``(user, t)`` whose neighbour round is *not* part of this commit, an
-    existing row at ``t - 1`` contributes a ``(stored -> new)`` step and an
-    existing row at ``t + 1`` a ``(new -> stored)`` step.  Only the stored
-    (``kind`` 0) side can be stitched — ground-truth cells are never
-    persisted per row, which is why piecewise commits refuse ``true_cells``.
+    Both analytical consumers of a commit read this one object: the store
+    upserts it into the accelerator tables (:func:`apply_deltas`) and the
+    live metric views (:mod:`repro.server.live_metrics`) fold it in memory.
+    Each field is an int64 array with one row per table row:
+
+    ``cell_counts``
+        ``(kind, time, cell, n)`` — :func:`cell_count_rows` per kind.
+    ``flows``
+        ``(kind, time, src, dst, n)`` — :func:`flow_rows` per kind.
+    ``summaries``
+        ``(user, n_rows, min_time, max_time)`` — :func:`user_summary_rows`.
     """
-    if not prior_users:
-        return []
-    incoming: dict[int, dict[int, int]] = {}
-    for user, time, cell in zip(users.tolist(), times.tolist(), cells.tolist()):
-        if user in prior_users:
-            incoming.setdefault(user, {})[time] = cell
-    rows: list[tuple] = []
-    lookup = connection.execute
-    for user, trace in incoming.items():
-        for time, cell in trace.items():
-            if time - 1 not in trace:
-                hit = lookup(
-                    "SELECT cell FROM releases WHERE user = ? AND time = ?",
-                    (user, time - 1),
-                ).fetchone()
-                if hit is not None:
-                    rows.append((KIND_OBSERVED, time, int(hit[0]), cell, 1))
-            if time + 1 not in trace:
-                hit = lookup(
-                    "SELECT cell FROM releases WHERE user = ? AND time = ?",
-                    (user, time + 1),
-                ).fetchone()
-                if hit is not None:
-                    rows.append((KIND_OBSERVED, time + 1, cell, int(hit[0]), 1))
-    return rows
+
+    cell_counts: np.ndarray
+    flows: np.ndarray
+    summaries: np.ndarray
+
+    @classmethod
+    def build(cls, users, times, cells, true_cells=None) -> "ShardDelta":
+        """The delta of one commit's rows (any order).
+
+        ``cells`` are the stored (snapped) cells, summarised as
+        :data:`KIND_OBSERVED`; ``true_cells``, when given, the ground
+        truth, summarised as :data:`KIND_TRUE`.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        times = np.asarray(times, dtype=np.int64)
+        sides = [(KIND_OBSERVED, np.asarray(cells, dtype=np.int64))]
+        if true_cells is not None:
+            sides.append((KIND_TRUE, np.asarray(true_cells, dtype=np.int64)))
+        return cls(
+            cell_counts=np.concatenate(
+                [cell_count_rows(kind, times, side) for kind, side in sides]
+            ),
+            flows=np.concatenate(
+                [flow_rows(kind, users, times, side) for kind, side in sides]
+            ),
+            summaries=user_summary_rows(users, times),
+        )
 
 
 def apply_deltas(
     connection: sqlite3.Connection,
-    cell_counts: Iterable[tuple],
-    flows: Iterable[tuple],
-    summaries: Iterable[tuple],
+    cell_counts: np.ndarray,
+    flows: np.ndarray,
+    summaries: np.ndarray,
 ) -> None:
-    """Apply one commit's summary increments (caller owns the transaction)."""
-    connection.executemany(_UPSERT_CELL_COUNTS, cell_counts)
-    connection.executemany(_UPSERT_FLOWS, flows)
-    connection.executemany(_UPSERT_USER_SUMMARY, summaries)
+    """Apply one commit's summary increments (caller owns the transaction).
+
+    ``user_summary`` rows are plain inserts: a user already stored makes
+    the primary key refuse the commit (``sqlite3.IntegrityError``), which
+    rolls back the caller's transaction.
+    """
+    connection.executemany(_UPSERT_CELL_COUNTS, cell_counts.tolist())
+    connection.executemany(_UPSERT_FLOWS, flows.tolist())
+    connection.executemany(_INSERT_USER_SUMMARY, summaries.tolist())

@@ -21,8 +21,8 @@ into ``local_windows``.
 Threading: the single connection is opened with ``check_same_thread=False``
 so the :class:`~repro.server.pipeline.AsyncShardCommitter` background thread
 can commit while the main thread reads; CPython's ``sqlite3`` is built in
-serialized threading mode, and all writes are additionally funnelled through
-one committer at a time by the pipeline's queue contract.
+serialized threading mode, and every commit runs under the server's ingest
+lock, so writes never interleave.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ class TraceStore:
     # ------------------------------------------------------------------
     def commit_shard(
         self, shard: int, users, times, batch: "ReleaseBatch", true_cells=None
-    ) -> None:
+    ) -> "accelerator.ShardDelta":
         """Durably commit one shard's releases in a single transaction.
 
         Parameters
@@ -188,6 +188,8 @@ class TraceStore:
         users / times:
             One user id / timestep per batch row (any order; rows are keyed
             ``(user, time)`` so the on-disk layout is order-independent).
+            The rows must be each user's *whole* trace: a commit may not
+            extend a user who already has stored rows.
         batch:
             The shard's releases.  ``batch.cells`` must already hold the
             *snapped* server-side cells (the pipeline stores the server
@@ -200,6 +202,12 @@ class TraceStore:
             consistently: mixing commits with and without ``true_cells``
             raises :class:`~repro.errors.StoreError`.
 
+        Returns
+        -------
+        repro.store.accelerator.ShardDelta
+            The commit's summary increments — the same object the live
+            metric views fold, so each commit aggregates its rows once.
+
         The release rows, one ``(shard, round)`` mark per distinct
         timestep, *and* the accelerator summary increments
         (:mod:`repro.store.accelerator`) are written in the same
@@ -209,7 +217,10 @@ class TraceStore:
         Re-committing a shard whose ``(shard, round)`` marks are all
         already durable is an idempotent no-op (the summaries merge by
         addition, so replaying the rows would double-count them); a commit
-        overlapping only *some* of its marks is a :class:`StoreError`.
+        overlapping only *some* of its marks is a :class:`StoreError`, and
+        so is a commit that extends a user already stored (a piecewise
+        commit): the ``user_summary`` primary key refuses it inside the
+        transaction, so nothing is written.
         """
         users = np.asarray(users, dtype=np.int64)
         times = np.asarray(times, dtype=np.int64)
@@ -222,9 +233,10 @@ class TraceStore:
             ).fetchall()
         }
         incoming_rounds = set(rounds.tolist())
+        delta = accelerator.ShardDelta.build(users, times, cells, true_cells)
         if incoming_rounds & existing_rounds:
             if incoming_rounds <= existing_rounds:
-                return  # the whole shard is already durable
+                return delta  # the whole shard is already durable
             raise StoreError(
                 f"shard {shard} commit overlaps rounds "
                 f"{sorted(incoming_rounds & existing_rounds)} already marked "
@@ -237,36 +249,6 @@ class TraceStore:
                 f"trace store {self.path!r} {held} true-side accelerator "
                 "summaries; every commit must pass true_cells consistently"
             )
-        prior_users: set[int] = set()
-        if len(users):
-            prior_users = {
-                int(user)
-                for (user,) in self.connection.execute(
-                    "SELECT user FROM user_summary WHERE user BETWEEN ? AND ?",
-                    (int(users.min()), int(users.max())),
-                ).fetchall()
-            } & set(users.tolist())
-        if prior_users and true_cells is not None:
-            raise StoreError(
-                f"commit of shard {shard} extends users {sorted(prior_users)[:5]}"
-                "... whose rows are already stored: true-side summaries "
-                "cannot be stitched across commits (ground-truth cells are "
-                "never persisted per row) — commit whole traces per shard"
-            )
-        cell_counts = accelerator.cell_count_rows(accelerator.KIND_OBSERVED, times, cells)
-        flows = accelerator.flow_rows(accelerator.KIND_OBSERVED, users, times, cells)
-        flows += accelerator.boundary_flow_rows(
-            self.connection, users, times, cells, prior_users
-        )
-        if true_cells is not None:
-            true_cells = np.asarray(true_cells, dtype=np.int64)
-            cell_counts += accelerator.cell_count_rows(
-                accelerator.KIND_TRUE, times, true_cells
-            )
-            flows += accelerator.flow_rows(
-                accelerator.KIND_TRUE, users, times, true_cells
-            )
-        summaries = accelerator.user_summary_rows(users, times)
         rows = zip(
             users.tolist(),
             times.tolist(),
@@ -290,16 +272,25 @@ class TraceStore:
                     "VALUES (?, ?, ?)",
                     marks,
                 )
-                accelerator.apply_deltas(self.connection, cell_counts, flows, summaries)
+                accelerator.apply_deltas(
+                    self.connection, delta.cell_counts, delta.flows, delta.summaries
+                )
                 if maintains_true is None:
                     self.connection.execute(
                         "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                         ("accelerator_true", "1" if true_cells is not None else "0"),
                     )
+        except sqlite3.IntegrityError as exc:
+            raise StoreError(
+                f"commit of shard {shard} extends users whose rows are already "
+                "stored; commits must carry each user's whole trace (nothing "
+                f"was written): {exc}"
+            ) from exc
         except sqlite3.Error as exc:
             raise StoreError(
                 f"commit of shard {shard} ({len(users)} rows) failed: {exc}"
             ) from exc
+        return delta
 
     def maintains_true_summaries(self) -> "bool | None":
         """Whether commits maintain true-side summaries (None before any)."""

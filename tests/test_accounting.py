@@ -63,6 +63,32 @@ class TestCap:
         with pytest.raises(ValidationError):
             BudgetLedger(cap=-1.0)
 
+    def test_check_many_refuses_exactly_where_charge_many_does(self):
+        # Interleaved users with float-sensitive epsilons: 0.1 * 3 sums past
+        # 0.3 by round-off only, so agreement needs the same row-order
+        # accumulation, not just the same totals.
+        for n_rows in range(1, 9):
+            users = [1, 2] * n_rows
+            epsilons = [0.1, 0.05] * n_rows
+            checked = BudgetLedger(cap=0.3)
+            checked.charge(2, 0, 0.05)
+            charged = BudgetLedger(cap=0.3)
+            charged.charge(2, 0, 0.05)
+            try:
+                charged.charge_many(users, range(len(users)), epsilons)
+                refused = False
+            except BudgetError:
+                refused = True
+            if refused:
+                with pytest.raises(BudgetError):
+                    checked.check_many(users, epsilons)
+            else:
+                checked.check_many(users, epsilons)
+            # The check itself never charges.
+            assert checked.users() == {2}
+            assert checked.spent(2) == 0.05
+            assert len(checked) == 1
+
 
 class TestQueries:
     def test_window(self):

@@ -267,9 +267,9 @@ class TestAsyncIngest:
                 super().__init__(world)
                 self.gate = threading.Event()
 
-            def ingest_shard(self, users, times, batch, purpose="stream"):
+            def ingest_shard(self, users, times, batch, purpose="stream", shard=None):
                 assert self.gate.wait(timeout=10)
-                return super().ingest_shard(users, times, batch, purpose=purpose)
+                return super().ingest_shard(users, times, batch, purpose=purpose, shard=shard)
 
         server = GatedServer(world)
         shard = ([4, 9], [0, 0], engine.release_batch([1, 2], rng=0))

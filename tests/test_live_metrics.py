@@ -5,8 +5,8 @@ approximate: for every round ``r``, ``server.metrics_at(r)`` — maintained
 incrementally by folding each shard commit the moment it lands — equals
 :func:`~repro.server.live_metrics.batch_recompute` over the raw release
 rows, under **every** execution shape.  This file pins that matrix
-(shards {1, 2, 5, 7} x serial/thread/process/pool/rpc x sync/async/
-partitioned committers), the shard-count invariance of the values
+(shards {1, 2, 5, 7} x serial/thread/process/pool/rpc x sync/async
+committers), the shard-count invariance of the values
 themselves, equality against independently-coded references (the E1/E11
 flow counter and the E2 contact-rate estimator), and the snapshot
 semantics around it: unavailable rounds name the shards they wait on,
@@ -35,13 +35,14 @@ from repro.server.live_metrics import (
     expected_coverage,
 )
 from repro.server.pipeline import Server, run_release_rounds_batched
+from repro.store.accelerator import ShardDelta
 
 N_USERS = 16
 HORIZON = 8
 RNG = 11
 
 SHARD_COUNTS = [1, 2, 5, 7]
-COMMITTERS = ["sync", "async", "partitioned"]
+COMMITTERS = ["sync", "async"]
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +114,6 @@ def batch_values_of(world, db, engine):
 def _live_run(world, db, engine, shards, backend, committer, **kwargs):
     if committer == "async":
         kwargs["async_ingest"] = True
-    elif committer == "partitioned":
-        kwargs["ingest_partitions"] = 2
     return run_release_rounds_batched(
         world, db, engine, rng=RNG, shards=shards, backend=backend,
         live_metrics=True, **kwargs,
@@ -314,13 +313,14 @@ class TestRegistryValidation:
             iter(stream_shard_releases(engine, db, plan, only_shards=frozenset({0})))
         )
         snapped = world.snap_batch(batch.points)
+        delta = ShardDelta.build(users, times, snapped, batch.cells)
         with pytest.raises(DataError, match="not in the expected coverage"):
-            registry.ingest(9, users, times, batch.points, batch.cells, snapped)
+            registry.ingest(9, users, times, batch.points, batch.cells, snapped, delta)
         half = times < HORIZON // 2
         with pytest.raises(DataError, match="coverage expects"):
             registry.ingest(
                 0, users[half], times[half], batch.points[half],
-                np.asarray(batch.cells)[half], np.asarray(snapped)[half],
+                np.asarray(batch.cells)[half], np.asarray(snapped)[half], delta,
             )
 
     def test_repr_reports_progress(self, world, db, engine):

@@ -4,7 +4,7 @@ The headline contract of ``repro.query`` mirrors the live-metrics one: every
 windowed answer served from the accelerator summary tables equals its naive
 ``full_scan_*`` reference **bitwise**, under every execution shape.  This
 file pins that matrix (shards {1, 2, 5, 7} x serial/thread/process/pool/rpc
-x sync/async/partitioned committers x kill-resume), the coverage-frontier
+x sync/async committers x kill-resume), the coverage-frontier
 refusal rule (half-covered windows name the shards they wait on), awkward
 stores (empty windows, coverage gaps, ``:memory:``, resumed mid-run), and a
 Hypothesis property: under *any* interleaving of shard commits and window
@@ -39,7 +39,7 @@ HORIZON = 8
 RNG = 11
 
 SHARD_COUNTS = [1, 2, 5, 7]
-COMMITTERS = ["sync", "async", "partitioned"]
+COMMITTERS = ["sync", "async"]
 
 #: The windows every fingerprint probes: a tumbling tiling plus overlapping
 #: sliders, so boundaries, overlaps, and the clipped tail all get exercised.
@@ -143,12 +143,9 @@ def canonical(world, db, engine):
         return _fingerprint(store, world)
 
 
-def _store_run(world, db, engine, shards, backend, committer="sync", store=None):
-    kwargs = {}
+def _store_run(world, db, engine, shards, backend, committer="sync", store=None, **kwargs):
     if committer == "async":
         kwargs["async_ingest"] = True
-    elif committer == "partitioned":
-        kwargs["ingest_partitions"] = 2
     store = store if store is not None else TraceStore(":memory:")
     server = run_release_rounds_batched(
         world, db, engine, rng=RNG, shards=shards, backend=backend,
@@ -176,10 +173,27 @@ class TestDeterminismMatrix:
     def test_every_committer_answers_identically(
         self, committer, world, db, engine, resolver, canonical
     ):
-        _, store = _store_run(world, db, engine, 5, "thread", committer)
+        server, store = _store_run(
+            world, db, engine, 5, "thread", committer, live_metrics=True
+        )
         with store:
             assert _fingerprint(store, world) == canonical
             _assert_matches_full_scan(store, world, resolver)
+            # Both consumers of the per-commit delta agree: the accelerator
+            # tables the SQL side upserted and the live views it folded.
+            rounds = server.metrics.rounds
+            live = server.metrics_at(rounds[-1])
+            engine_q = QueryEngine(store, world=world)
+            full = Window(rounds[0], rounds[-1])
+            for kind, rate, flows in (
+                ("observed", live["contacts"].observed_contact_rate, live["flows"].observed_flows),
+                ("true", live["contacts"].true_contact_rate, live["flows"].true_flows),
+            ):
+                answer = engine_q.contact_rate(full, kind=kind)
+                assert (answer.contact_rate, answer.observations) == (
+                    rate, live["contacts"].n_observations
+                )
+                assert engine_q.flow_matrix(full, kind, 4, 4) == flows
 
     def test_epsilon_spend_equals_the_live_ledger(self, world, db, engine):
         # The query folds stored rows through the same BudgetLedger

@@ -19,6 +19,8 @@ from repro.engine.specs import EngineSpec, ExecutionSpec
 from repro.errors import BudgetError, DataError, ResumeMismatchError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
+from repro.core.mechanisms.base import ReleaseBatch
+from repro.server.live_metrics import default_views
 from repro.server.localdb import LocalLocationDB
 from repro.server.pipeline import Server, run_release_rounds_batched
 from repro.store import RunManifest, StoredTraceDB, TraceStore, engine_spec_hash
@@ -495,3 +497,97 @@ class TestAcceleratorMaintenance:
             other = engine.release_batch(np.array([5]), rng=np.random.default_rng(1))
             with pytest.raises(StoreError, match="true"):
                 store.commit_shard(1, np.array([2]), np.array([0]), other)
+
+    def test_piecewise_commit_refused(self, world, engine):
+        # User 1 commits round 0 in shard 0, then round 1 in shard 1: the
+        # second commit would extend a stored user, so it is refused whole.
+        with TraceStore(":memory:") as store:
+            first = engine.release_batch(np.array([0]), rng=np.random.default_rng(0))
+            store.commit_shard(0, np.array([1]), np.array([0]), first)
+            before = _tables(store)
+            second = engine.release_batch(np.array([1]), rng=np.random.default_rng(1))
+            with pytest.raises(StoreError, match="whole trace"):
+                store.commit_shard(1, np.array([1]), np.array([1]), second)
+            assert _tables(store) == before
+
+
+_STORE_TABLES = (
+    "releases", "shard_commits", "round_cell_counts", "round_flows", "user_summary",
+)
+
+
+def _tables(store):
+    """Every row of the release, commit-mark and accelerator tables."""
+    return {
+        table: sorted(store.connection.execute(f"SELECT * FROM {table}").fetchall())
+        for table in _STORE_TABLES
+    }
+
+
+class TestBudgetBeforeCommit:
+    """A shard the budget cap refuses leaves every layer as it was."""
+
+    @staticmethod
+    def _shard(world, user, n_rows):
+        """One user's ``n_rows`` consecutive releases, each costing epsilon 1."""
+        cells = np.arange(n_rows)
+        batch = ReleaseBatch(
+            points=world.coords_array(cells),
+            exact=np.zeros(n_rows, dtype=bool),
+            epsilons=np.ones(n_rows),
+            cells=cells,
+        )
+        return np.full(n_rows, user), np.arange(n_rows), batch
+
+    def _server(self, world, store):
+        # Shard 0 (user 2, two releases) fits the cap; shard 1 (user 1,
+        # three releases) does not.
+        server = Server(world, ledger=BudgetLedger(cap=2.0), store=store)
+        server.attach_metrics(default_views(world), {0: {0, 1}, 1: {0, 1, 2}})
+        return server
+
+    @staticmethod
+    def _state(server):
+        return (
+            _tables(server.store),
+            sorted(server.released_db.checkins()),
+            server.ledger.entries,
+            server.ledger.users(),
+            server.ledger.total_spent(),
+            server.metrics.frozen_rounds,
+            repr(server.metrics),
+        )
+
+    def test_sync_ingest_refuses_before_any_write(self, world):
+        with TraceStore(":memory:") as store:
+            server = self._server(world, store)
+            server.ingest_shard(*self._shard(world, 2, 2), shard=0)
+            before = self._state(server)
+            with pytest.raises(BudgetError):
+                server.ingest_shard(*self._shard(world, 1, 3), shard=1)
+            assert self._state(server) == before
+            assert server.ledger.spent(1) == 0.0
+
+    def test_async_ingest_refuses_before_any_write(self, world):
+        with TraceStore(":memory:") as store:
+            server = self._server(world, store)
+            server.ingest_shard(*self._shard(world, 2, 2), shard=0)
+            before = self._state(server)
+            with pytest.raises(BudgetError):
+                with server.async_committer(max_pending=1) as committer:
+                    committer.submit(*self._shard(world, 1, 3), shard=1)
+            assert self._state(server) == before
+
+    def test_resume_replay_refuses_before_any_write(self, world):
+        with TraceStore(":memory:") as store:
+            users, times, batch = self._shard(world, 1, 3)
+            Server(world, store=store).ingest_shard(users, times, batch, shard=1)
+            server = self._server(world, store)
+            before = self._state(server)
+            with pytest.raises(BudgetError):
+                server.replay_shard(
+                    1, 1, shard=1,
+                    true_cells=lambda row_users, row_times: np.asarray(row_times),
+                )
+            assert self._state(server) == before
+
