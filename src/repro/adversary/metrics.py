@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.adversary.inference import BayesianAttacker
-from repro.core.mechanisms.base import Mechanism, ReleaseBatch
+from repro.core.mechanisms.base import Mechanism
 from repro.errors import ValidationError
 from repro.geo.distance import euclidean
 from repro.geo.grid import GridWorld
@@ -84,18 +84,20 @@ class _TrialShardTask:
 def _score_trial_shard(task: _TrialShardTask):
     """Score one shard's trial slots on their own streams (module-level for pickling).
 
-    Each slot draws its ``trials`` releases from its own seed stream — one
-    vectorized ``release_batch`` call per slot when ``task.batched``, the
-    scalar ``release`` loop otherwise (same stream, so the same points to
-    float identity).  Batched scoring then runs over the whole shard at
-    once: the per-slot draws are concatenated into a single
-    :class:`~repro.core.mechanisms.ReleaseBatch` and pushed through the
-    attacker's batched posterior machinery in one matrix pass (scoring is
-    row-independent, so this cannot change any value).  Returns per-slot
-    error sums as a :class:`~repro.engine.distributed.MetricShardResult`.
+    Each slot draws its ``trials`` releases from its own seed stream — the
+    slot's block of the shared per-key draw loop
+    (:func:`~repro.engine.sharding.release_keys`) when ``task.batched``,
+    the scalar ``release`` loop otherwise (same stream, so the same points
+    to float identity).  Batched scoring then runs over the whole shard at
+    once: the loop's single :class:`~repro.core.mechanisms.ReleaseBatch` is
+    pushed through the attacker's batched posterior machinery in one matrix
+    pass (scoring is row-independent, so this cannot change any value).
+    Returns per-slot error sums as a
+    :class:`~repro.engine.distributed.MetricShardResult`.
     """
     from repro.engine import resolve_release_source
     from repro.engine.distributed import MetricShardResult
+    from repro.engine.sharding import release_keys
 
     source = resolve_release_source(task.source)
     world = source.world
@@ -110,25 +112,15 @@ def _score_trial_shard(task: _TrialShardTask):
 
     errors = np.empty(n, dtype=float)
     if task.batched:
-        points = np.empty((n, 2), dtype=float)
-        exact = np.empty(n, dtype=bool)
-        epsilons = np.empty(n, dtype=float)
-        mechanism = ""
-        for index, (cell, seed) in enumerate(zip(task.cells, task.seeds)):
-            batch = source.release_batch(
-                [cell] * trials, rng=np.random.default_rng(seed)
-            )
-            start = index * trials
-            points[start : start + trials] = batch.points
-            exact[start : start + trials] = batch.exact
-            epsilons[start : start + trials] = batch.epsilons
-            mechanism = batch.mechanism
-        merged = ReleaseBatch(
-            points=points, exact=exact, epsilons=epsilons, cells=cells_rows, mechanism=mechanism
+        # Slot i owns rows i*trials:(i+1)*trials of the repeated cells.
+        merged = release_keys(
+            source, task.seeds, np.arange(0, n + 1, trials), cells_rows
         )
         if task.kind == "utility":
             centres = world.coords_array(cells_rows)
-            errors = np.hypot(points[:, 0] - centres[:, 0], points[:, 1] - centres[:, 1])
+            errors = np.hypot(
+                merged.points[:, 0] - centres[:, 0], merged.points[:, 1] - centres[:, 1]
+            )
         elif task.kind == "adversary":
             errors = attacker.inference_error_batch(merged, cells_rows)
         else:

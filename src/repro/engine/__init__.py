@@ -13,9 +13,11 @@ population-scale engine:
   string-name registry;
 * :mod:`~repro.engine.registry` — one source of truth for mechanism and
   policy names shared by experiments, the CLI, and saved configs;
-* :class:`ShardPlan` + :func:`sharded_release_rounds` /
-  :func:`stream_shard_releases` — deterministic population sharding with
-  per-user RNG streams, executed on a pluggable :class:`ExecutionBackend`
+* :class:`ShardPlan` + :func:`stream_shard_releases` — deterministic
+  population sharding with per-user RNG streams: one columnar shard task
+  per shard and one per-key draw loop (:mod:`~repro.engine.sharding`),
+  shared by the release path and every sharded evaluator, executed on a
+  pluggable :class:`ExecutionBackend`
   (``serial`` / ``thread`` / ``process`` / long-lived ``pool`` / socket
   ``rpc`` with deterministic worker-loss retry) so one seeded run
   reproduces element-wise at any shard count;
@@ -66,7 +68,7 @@ from repro.engine.registry import (
     resolve_mechanism,
     resolve_policy,
 )
-from repro.engine.sharding import ShardPlan, sharded_release_rounds, stream_shard_releases
+from repro.engine.sharding import ShardPlan, stream_shard_releases
 from repro.engine.specs import EngineSpec, ExecutionSpec, MechanismSpec, PolicySpec
 
 
@@ -89,7 +91,6 @@ __all__ = [
     "PolicySpec",
     "ExecutionSpec",
     "ShardPlan",
-    "sharded_release_rounds",
     "stream_shard_releases",
     "MetricShardResult",
     "sharded_metric",

@@ -280,13 +280,14 @@ def sharded_metric(
     ----------
     scorer:
         Module-level function mapping one shard task to a
-        :class:`MetricShardResult` (module-level so process backends can
-        pickle it).  Tasks carry everything the scorer needs — for process
-        backends, spec-built engines travel as
-        :class:`~repro.engine.engine.EngineRef` spec hashes that workers
-        resolve against their local cache.
+        :class:`MetricShardResult`, or a :func:`functools.partial` over one
+        binding the metric's own parameters (module-level so process
+        backends can pickle it).  For process backends, spec-built engines
+        travel as :class:`~repro.engine.engine.EngineRef` spec hashes that
+        workers resolve against their local cache.
     tasks:
-        One task per non-empty shard, in shard order.  Results are merged in
+        One task per non-empty shard, in shard order — the columnar
+        :class:`~repro.engine.sharding.ShardTask` for trace metrics.  Results are merged in
         this order regardless of completion order, so the backend can never
         influence the merged value.
     backend:

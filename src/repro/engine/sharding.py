@@ -1,12 +1,15 @@
-"""Population sharding for release rounds: plans, shard tasks, merge.
+"""Population sharding: plans, columnar shard tasks, the per-key draw loop.
 
-PR 1–2 made a release *round* fast (one vectorized ``release_batch`` per
-timestep); this module scales *across users*.  A :class:`ShardPlan` splits
-the population into deterministic shards, each shard releases its users'
-whole trace through the engine, an
+A release *round* is one vectorized ``release_batch`` per timestep; this
+module scales *across users*.  A :class:`ShardPlan` splits
+the population into deterministic shards with one seed per user.
+:func:`shard_tasks` packages each shard's rows, straight from
+:meth:`~repro.mobility.trajectory.TraceDB.to_arrays`, into a columnar
+:class:`ShardTask`, and :func:`release_keys` draws a shard's keys, each on
+its own stream.  The release path (:func:`stream_shard_releases`) and
+every sharded evaluator (E1/E11, E2, E3, E4) share these three pieces; an
 :class:`~repro.engine.backends.ExecutionBackend` decides how the shards run
-(serial / thread pool / process pool), and :func:`sharded_release_rounds`
-merges the per-shard output back into time-ordered rounds for the server.
+(serial / thread pool / process pool / rpc).
 
 Determinism contract
 --------------------
@@ -17,9 +20,9 @@ therefore depend only on ``(parent seed, user list, their trace)`` — never on
 the shard count or the backend — so a k-shard run reproduces the 1-shard run
 element-wise, and both reproduce the per-client protocol reference
 (:func:`repro.server.pipeline.run_release_rounds`), which spawns the same
-per-user streams.  Seeds (plain ints) rather than live generators are what a
-:class:`~repro.engine.backends.ProcessBackend` pickles across the process
-boundary.
+per-user streams.  Seeds (an int64 column of the task) rather than live
+generators are what a :class:`~repro.engine.backends.ProcessBackend` pickles
+across the process boundary.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
 __all__ = [
     "ShardPlan",
     "ShardTask",
-    "sharded_release_rounds",
+    "release_keys",
+    "shard_tasks",
     "stream_shard_releases",
 ]
 
@@ -196,24 +200,86 @@ class ShardPlan:
         return f"ShardPlan(users={len(self.users)}, n_shards={self.n_shards})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShardTask:
-    """One shard's work order: its users, their seeds, and their traces.
+    """One shard's work order as columns: its keys, their seeds, their rows.
 
-    Plain data plus the engine, so a :class:`~repro.engine.backends.ProcessBackend`
-    can pickle it to a worker.  ``engine`` is an
+    Key ``i`` (user ``users[i]``, drawing from stream ``seeds[i]``) owns rows
+    ``bounds[i]:bounds[i + 1]`` of ``times`` / ``cells``, in time order, so
+    the rows are user-major and ``len(bounds) == len(users) + 1``.  A key
+    with no rows keeps an empty block, so every per-key output has one entry
+    per key.  All five arrays are int64.
+
+    ``source`` is the release source the shard draws from: an
     :class:`~repro.engine.engine.EngineRef` whenever the engine was built
-    from a spec — the ref pickles as a spec hash and the worker rebuilds
-    (and caches) the engine, instead of re-shipping construction state with
-    every task — and the live engine otherwise.  ``times[i]`` / ``cells[i]``
-    are user ``users[i]``'s check-in times and true cells in time order.
+    from a spec (the ref pickles as a spec hash and the worker rebuilds and
+    caches the engine), the live mechanism or engine otherwise, or ``None``
+    for work that draws nothing.  Plain data, so any backend can pickle it.
     """
 
-    engine: "PrivacyEngine | EngineRef"
-    users: tuple[int, ...]
-    seeds: tuple[int, ...]
-    times: tuple[tuple[int, ...], ...]
-    cells: tuple[tuple[int, ...], ...]
+    source: "PrivacyEngine | EngineRef | None"
+    users: np.ndarray
+    seeds: np.ndarray
+    bounds: np.ndarray
+    times: np.ndarray
+    cells: np.ndarray
+
+    @property
+    def row_users(self) -> np.ndarray:
+        """``users`` expanded to one entry per row."""
+        return np.repeat(self.users, np.diff(self.bounds))
+
+
+def shard_tasks(
+    source,
+    db: "TraceDB",
+    plan: ShardPlan,
+    start: int | None = None,
+    end: int | None = None,
+    only_shards: "frozenset[int] | set[int] | None" = None,
+) -> list[ShardTask]:
+    """One :class:`ShardTask` per selected non-empty shard of ``plan``.
+
+    The rows come from one :meth:`~repro.mobility.trajectory.TraceDB.to_arrays`
+    call (user-major, time-ascending).  Rows outside ``[start, end]`` (each
+    bound optional) and rows of users the plan does not cover are dropped;
+    a plan user left without rows keeps an empty block.  ``only_shards``
+    selects a subset of shard indices (the resume hook).  ``source`` is
+    wrapped with :meth:`~repro.engine.engine.EngineRef.wrap`.
+    """
+    if not plan.users:
+        return []
+    users, times, cells = db.to_arrays()
+    keep = np.ones(len(users), dtype=bool)
+    if start is not None:
+        keep &= times >= start
+    if end is not None:
+        keep &= times <= end
+    plan_users = np.asarray(plan.users, dtype=np.int64)
+    keys = np.searchsorted(plan_users, users)
+    keep &= plan_users.take(keys, mode="clip") == users
+    keys, times, cells = keys[keep], times[keep], cells[keep]
+    key_bounds = np.zeros(len(plan_users) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=len(plan_users)), out=key_bounds[1:])
+    seeds = np.asarray(plan.seeds, dtype=np.int64)
+    source = EngineRef.wrap(source)
+    tasks = []
+    low = 0
+    for shard, high in enumerate(plan._boundaries):
+        if high > low and (only_shards is None or shard in only_shards):
+            first, last = key_bounds[low], key_bounds[high]
+            tasks.append(
+                ShardTask(
+                    source=source,
+                    users=plan_users[low:high],
+                    seeds=seeds[low:high],
+                    bounds=key_bounds[low : high + 1] - first,
+                    times=times[first:last],
+                    cells=cells[first:last],
+                )
+            )
+        low = high
+    return tasks
 
 
 #: Per-worker-thread state: each thread that executes shards keeps its own
@@ -233,82 +299,53 @@ def _shard_workspace(capacity: int) -> RoundWorkspace:
     return workspace
 
 
-def _execute_shard(task: ShardTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Release one shard's users: ``(points, exact, epsilons, mechanism)``.
+def release_keys(source, seeds, bounds, cells: np.ndarray) -> ReleaseBatch:
+    """Release every key's block of ``cells`` from the key's own stream.
 
-    Each user's whole trace goes through one vectorized
-    ``engine.release_batch`` call drawn from that user's own stream —
-    element-wise identical to the scalar per-round ``release`` loop a
-    :class:`~repro.server.pipeline.Client` runs.  Rows are ordered user-major
-    (the task's user order, then time), matching the task's flattened
-    ``times``/``cells``.  Module-level so process pools can pickle it.
+    Key ``i`` draws ``cells[bounds[i]:bounds[i + 1]]`` in one vectorized
+    ``source.release_batch`` call on ``np.random.default_rng(seeds[i])`` —
+    element-wise identical to the scalar per-release loop a
+    :class:`~repro.server.pipeline.Client` runs on that stream.  Keys with
+    an empty block draw nothing.  ``source`` is a live release source
+    (resolve refs first).  This is the one place a shard's keys are drawn.
 
     Kernel temporaries live in the worker thread's reused
-    :class:`RoundWorkspace` (the batch views are copied straight into the
-    shard's output arrays), so a long-lived worker allocates only the
-    per-shard outputs — zero arrays per release round.
+    :class:`RoundWorkspace` and each key's views are copied straight into
+    the returned batch, so a long-lived worker allocates only the outputs.
     """
-    engine = resolve_release_source(task.engine)
-    n = sum(len(cells) for cells in task.cells)
-    longest = max((len(cells) for cells in task.cells), default=0)
-    workspace = _shard_workspace(longest)
+    bounds = np.asarray(bounds)
+    n = len(cells)
+    workspace = _shard_workspace(int(np.diff(bounds).max(initial=0)))
     points = np.empty((n, 2), dtype=float)
     exact = np.empty(n, dtype=bool)
     epsilons = np.empty(n, dtype=float)
     mechanism = ""
-    offset = 0
-    for seed, cells in zip(task.seeds, task.cells):
-        batch = engine.release_batch(
-            list(cells), rng=np.random.default_rng(seed), workspace=workspace
-        )
-        stop = offset + len(batch)
-        points[offset:stop] = batch.points
-        exact[offset:stop] = batch.exact
-        epsilons[offset:stop] = batch.epsilons
-        mechanism = batch.mechanism
-        offset = stop
-    return points, exact, epsilons, mechanism
-
-
-def _shard_tasks(
-    engine: "PrivacyEngine",
-    true_db: "TraceDB",
-    plan: ShardPlan,
-    only_shards: "frozenset[int] | set[int] | None" = None,
-) -> list[ShardTask]:
-    """Materialise one picklable :class:`ShardTask` per selected non-empty shard."""
-    tasks = []
-    transferable = EngineRef.wrap(engine)
-    for shard, users, seeds in plan.iter_shards():
-        if only_shards is not None and shard not in only_shards:
+    edges = bounds.tolist()
+    for seed, first, last in zip(np.asarray(seeds).tolist(), edges[:-1], edges[1:]):
+        if last == first:
             continue
-        histories = [true_db.user_history(user) for user in users]
-        tasks.append(
-            ShardTask(
-                engine=transferable,
-                users=users,
-                seeds=seeds,
-                times=tuple(tuple(c.time for c in history) for history in histories),
-                cells=tuple(tuple(c.cell for c in history) for history in histories),
-            )
+        batch = source.release_batch(
+            cells[first:last], rng=np.random.default_rng(seed), workspace=workspace
         )
-    return tasks
+        points[first:last] = batch.points
+        exact[first:last] = batch.exact
+        epsilons[first:last] = batch.epsilons
+        mechanism = batch.mechanism
+    return ReleaseBatch(
+        points=points, exact=exact, epsilons=epsilons, cells=cells, mechanism=mechanism
+    )
 
 
-def _flatten_task_rows(task: ShardTask) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """User-major ``(users, times, cells)`` row arrays for one shard task."""
-    n = sum(len(times) for times in task.times)
-    users_rows = np.empty(n, dtype=int)
-    times_rows = np.empty(n, dtype=int)
-    cells_rows = np.empty(n, dtype=int)
-    offset = 0
-    for user, user_times, user_cells in zip(task.users, task.times, task.cells):
-        stop = offset + len(user_times)
-        users_rows[offset:stop] = user
-        times_rows[offset:stop] = user_times
-        cells_rows[offset:stop] = user_cells
-        offset = stop
-    return users_rows, times_rows, cells_rows
+def _execute_shard(task: ShardTask) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Release one shard's users: ``(points, exact, epsilons, mechanism)``.
+
+    Rows follow the task's own user-major layout (see :func:`release_keys`).
+    Module-level so process pools can pickle it.
+    """
+    batch = release_keys(
+        resolve_release_source(task.source), task.seeds, task.bounds, task.cells
+    )
+    return batch.points, batch.exact, batch.epsilons, batch.mechanism
 
 
 def stream_shard_releases(
@@ -320,13 +357,11 @@ def stream_shard_releases(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, ReleaseBatch]]:
     """Yield each shard's releases **as the shard completes** (any order).
 
-    The streaming counterpart of :func:`sharded_release_rounds`: instead of
-    a full merge barrier (flatten every shard, lexsort the whole population,
-    regroup into rounds), each completed shard is handed to the consumer
-    immediately as ``(users, times, batch)`` row arrays in the shard's
-    user-major order.  :meth:`~repro.server.pipeline.Server.ingest_shard`
-    consumes exactly this shape and commits each shard's rows ordered by
-    ``(time, user)``.
+    Each completed shard is handed to the consumer immediately as
+    ``(users, times, batch)`` row arrays in the shard task's user-major
+    order, with no merge barrier across shards.
+    :meth:`~repro.server.pipeline.Server.ingest_shard` consumes exactly
+    this shape and commits each shard's rows ordered by ``(time, user)``.
 
     Yield *order* follows shard completion and is therefore
     backend-dependent, but the yielded *values* are not: every user lives in
@@ -336,9 +371,12 @@ def stream_shard_releases(
 
     Parameters
     ----------
-    engine / true_db / plan:
-        As in :func:`sharded_release_rounds` (the plan must cover exactly
-        the database's users).
+    engine:
+        The engine every shard releases through.
+    true_db:
+        Ground-truth traces; the plan must cover exactly its users.
+    plan:
+        Shard partition and per-user streams (see :class:`ShardPlan`).
     backend:
         A registry name, live backend, or ``None`` (serial).  Backends named
         here are owned by this generator and closed when the iteration
@@ -354,107 +392,16 @@ def stream_shard_releases(
     """
     if plan.users != tuple(sorted(true_db.users())):
         raise DataError("shard plan does not cover the trace database's users")
-    tasks = _shard_tasks(engine, true_db, plan, only_shards=only_shards)
+    tasks = shard_tasks(engine, true_db, plan, only_shards=only_shards)
     with owned_backend(backend) as live:
         for index, (points, exact, epsilons, mechanism) in live.run_unordered(
             _execute_shard, tasks
         ):
             task = tasks[index]
-            users_rows, times_rows, cells_rows = _flatten_task_rows(task)
-            yield users_rows, times_rows, ReleaseBatch(
+            yield task.row_users, task.times, ReleaseBatch(
                 points=points,
                 exact=exact,
                 epsilons=epsilons,
-                cells=cells_rows,
+                cells=task.cells,
                 mechanism=mechanism,
             )
-
-
-def sharded_release_rounds(
-    engine: "PrivacyEngine",
-    true_db: "TraceDB",
-    plan: ShardPlan,
-    backend: "str | ExecutionBackend | None" = "serial",
-) -> list[tuple[int, np.ndarray, ReleaseBatch]]:
-    """Release the whole population shard-parallel, merged back into rounds.
-
-    Parameters
-    ----------
-    engine:
-        The engine every shard releases through (picklable, so process
-        backends can ship it whole).
-    true_db:
-        Ground-truth traces; the plan must cover exactly its users.
-    plan:
-        Shard partition and per-user streams (see :class:`ShardPlan`).
-    backend:
-        Execution strategy — a registry name (``"serial"``, ``"thread"``,
-        ``"process"``), a live backend, or ``None`` for serial.
-
-    Returns
-    -------
-    list of ``(time, users, batch)``
-        One entry per timestep, in increasing time order.  ``users`` is the
-        sorted array of users observed at that time and ``batch`` the merged
-        :class:`~repro.core.mechanisms.ReleaseBatch` with row ``i`` belonging
-        to ``users[i]`` — exactly what :meth:`Server.ingest_batch` consumes.
-
-    Determinism: output is a pure function of ``(engine, true_db, plan)``;
-    the backend and shard count never change a single release (asserted per
-    backend in ``tests/test_sharding.py``).  Backends named here (rather
-    than passed live) are closed before returning, even on error.
-    """
-    if plan.users != tuple(sorted(true_db.users())):
-        raise DataError("shard plan does not cover the trace database's users")
-    tasks = _shard_tasks(engine, true_db, plan)
-    with owned_backend(backend) as live:
-        results = live.run(_execute_shard, tasks)
-
-    # Flatten in shard order: shards hold contiguous blocks of the sorted
-    # user list, so rows arrive sorted by (user, time) globally.
-    n = sum(len(times) for task in tasks for times in task.times)
-    users_rows = np.empty(n, dtype=int)
-    times_rows = np.empty(n, dtype=int)
-    cells_rows = np.empty(n, dtype=int)
-    points = np.empty((n, 2), dtype=float)
-    exact = np.empty(n, dtype=bool)
-    epsilons = np.empty(n, dtype=float)
-    mechanism = ""
-    offset = 0
-    for task, (shard_points, shard_exact, shard_epsilons, shard_mechanism) in zip(tasks, results):
-        shard_start = offset
-        task_users, task_times, task_cells = _flatten_task_rows(task)
-        offset = shard_start + len(task_users)
-        users_rows[shard_start:offset] = task_users
-        times_rows[shard_start:offset] = task_times
-        cells_rows[shard_start:offset] = task_cells
-        points[shard_start:offset] = shard_points
-        exact[shard_start:offset] = shard_exact
-        epsilons[shard_start:offset] = shard_epsilons
-        if shard_mechanism:
-            mechanism = shard_mechanism
-
-    # Regroup user-major rows into time-major rounds; lexsort keys are
-    # last-key-primary, so this orders by time then user — a deterministic
-    # round layout shared by every shard count and backend.
-    order = np.lexsort((users_rows, times_rows))
-    rounds: list[tuple[int, np.ndarray, ReleaseBatch]] = []
-    sorted_times = times_rows[order]
-    round_times, starts = np.unique(sorted_times, return_index=True)
-    bounds = list(starts) + [len(order)]
-    for i, time in enumerate(round_times):
-        index = order[bounds[i] : bounds[i + 1]]
-        rounds.append(
-            (
-                int(time),
-                users_rows[index],
-                ReleaseBatch(
-                    points=points[index],
-                    exact=exact[index],
-                    epsilons=epsilons[index],
-                    cells=cells_rows[index],
-                    mechanism=mechanism,
-                ),
-            )
-        )
-    return rounds

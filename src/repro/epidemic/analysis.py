@@ -35,7 +35,8 @@ though deliberately not equal to the unsharded single-stream draw.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,6 +47,9 @@ from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_positive, check_probability
+
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from repro.engine.sharding import ShardTask
 
 __all__ = [
     "contact_rate",
@@ -78,92 +82,43 @@ def _occupancy_rate(occupancy: Counter, observations: int) -> float:
 # ----------------------------------------------------------------------
 # Shard-parallel path (E2 over ShardPlan + ExecutionBackend)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _OccupancyShardTask:
-    """One shard's occupancy workload: its users' (windowed) traces.
-
-    Plain data plus an optional release source, so process backends can
-    pickle it; ``source`` is ``None`` for the deterministic true-trace
-    counters (:func:`contact_rate`), an :class:`~repro.engine.EngineRef`
-    for spec-built engines (workers rebuild and cache by spec hash), or the
-    live mechanism.  ``times[i]`` / ``cells[i]`` are user ``users[i]``'s
-    check-ins in time order.
-    """
-
-    source: object | None
-    users: tuple[int, ...]
-    seeds: tuple[int, ...]
-    times: tuple[tuple[int, ...], ...]
-    cells: tuple[tuple[int, ...], ...]
-    batched: bool
-
-
-def _score_occupancy_shard(task: _OccupancyShardTask):
+def _score_occupancy_shard(task: "ShardTask", batched: bool = True):
     """Epoch-keyed occupancy counters for one shard (module-level for pickling).
 
     The true counter tallies ``(time, cell)`` occupancy over the shard's own
     users.  With a release source, each user's whole trace is additionally
-    released from that user's own seed stream (one vectorized
-    ``release_batch`` call, or the scalar per-release loop when
-    ``task.batched`` is false — same stream, so the same points to float
-    identity), snapped, and tallied into the perturbed counter.  Counts are
-    per-user observation counts, so ``n_releases`` is the window's
-    observation total after the merge.
+    released from that user's own seed stream
+    (:func:`~repro.engine.sharding.release_keys`, or the scalar per-release
+    loop when ``batched`` is false — same stream, so the same points to
+    float identity), snapped, and tallied into the perturbed counter.
+    Counts are per-user observation counts, so ``n_releases`` is the
+    window's observation total after the merge.
     """
     from repro.engine import resolve_release_source
     from repro.engine.distributed import MetricShardResult
+    from repro.engine.sharding import release_keys
 
-    counts = np.array([len(user_cells) for user_cells in task.cells], dtype=int)
-    true_occupancy: Counter = Counter()
-    for user_times, user_cells in zip(task.times, task.cells):
-        true_occupancy.update(zip(user_times, user_cells))
-    flows = {"true_occupancy": true_occupancy}
+    times = task.times.tolist()
+    flows = {"true_occupancy": Counter(zip(times, task.cells.tolist()))}
 
     if task.source is not None:
         source = resolve_release_source(task.source)
         world = source.world
-        perturbed_occupancy: Counter = Counter()
-        for seed, user_times, user_cells in zip(task.seeds, task.times, task.cells):
-            if not user_cells:
-                continue
-            generator = np.random.default_rng(seed)
-            if task.batched:
-                batch = source.release_batch(list(user_cells), rng=generator)
-                snapped = world.snap_batch(batch.points).tolist()
-            else:  # scalar reference: same stream, one release() per check-in
-                snapped = [
+        if batched:
+            batch = release_keys(source, task.seeds, task.bounds, task.cells)
+            snapped = world.snap_batch(batch.points).tolist()
+        else:  # scalar reference: same stream, one release() per check-in
+            snapped = []
+            edges = task.bounds.tolist()
+            for seed, first, last in zip(task.seeds.tolist(), edges[:-1], edges[1:]):
+                generator = np.random.default_rng(seed)
+                snapped.extend(
                     world.snap(source.release(cell, rng=generator).point)
-                    for cell in user_cells
-                ]
-            perturbed_occupancy.update(zip(user_times, snapped))
-        flows["perturbed_occupancy"] = perturbed_occupancy
+                    for cell in task.cells[first:last].tolist()
+                )
+        flows["perturbed_occupancy"] = Counter(zip(times, snapped))
 
-    return MetricShardResult(sums={}, counts=counts, flows=flows)
-
-
-def _occupancy_tasks(
-    db: TraceDB,
-    plan,
-    source,
-    batched: bool,
-    start: int | None = None,
-    end: int | None = None,
-) -> list[_OccupancyShardTask]:
-    """One picklable :class:`_OccupancyShardTask` per non-empty shard."""
-    tasks = []
-    for _, users, seeds in plan.iter_shards():
-        histories = [db.user_history(user, start=start, end=end) for user in users]
-        tasks.append(
-            _OccupancyShardTask(
-                source=source,
-                users=users,
-                seeds=seeds,
-                times=tuple(tuple(c.time for c in history) for history in histories),
-                cells=tuple(tuple(c.cell for c in history) for history in histories),
-                batched=batched,
-            )
-        )
-    return tasks
+    return MetricShardResult(sums={}, counts=np.diff(task.bounds), flows=flows)
 
 
 def _contact_rate_sharded(
@@ -172,6 +127,7 @@ def _contact_rate_sharded(
     """:func:`contact_rate` over ``ShardPlan`` + ``ExecutionBackend``."""
     from repro.engine import ShardPlan
     from repro.engine.distributed import sharded_metric
+    from repro.engine.sharding import shard_tasks
 
     users = sorted(db.users())
     if not users:
@@ -179,7 +135,7 @@ def _contact_rate_sharded(
     # The estimator draws no randomness; the plan's per-user seeds are unused,
     # so a fixed parent seed keeps the plan itself deterministic.
     plan = ShardPlan.build(users, 1 if shards is None else int(shards), rng=0)
-    tasks = _occupancy_tasks(db, plan, None, batched=True, start=start, end=end)
+    tasks = shard_tasks(None, db, plan, start=start, end=end)
     merged = sharded_metric(_score_occupancy_shard, tasks, backend=backend)
     return _occupancy_rate(merged.flows["true_occupancy"], merged.n_releases)
 
@@ -292,8 +248,9 @@ def _r0_estimation_error_sharded(
     backend,
 ) -> tuple[float, float, float]:
     """E2 over ``ShardPlan`` + ``ExecutionBackend`` (see ``r0_estimation_error``)."""
-    from repro.engine import EngineRef, ShardPlan
+    from repro.engine import ShardPlan
     from repro.engine.distributed import sharded_metric
+    from repro.engine.sharding import shard_tasks
 
     # Workers score against the release source's own world; refuse a
     # mismatched explicit world instead of silently diverging from the
@@ -304,8 +261,9 @@ def _r0_estimation_error_sharded(
     if not users:
         raise DataError("window contains no observations")
     plan = ShardPlan.build(users, 1 if shards is None else int(shards), rng=rng)
-    tasks = _occupancy_tasks(true_db, plan, EngineRef.wrap(mechanism), batched=batched)
-    merged = sharded_metric(_score_occupancy_shard, tasks, backend=backend)
+    tasks = shard_tasks(mechanism, true_db, plan)
+    scorer = partial(_score_occupancy_shard, batched=batched)
+    merged = sharded_metric(scorer, tasks, backend=backend)
     # The perturbed copy keeps every (user, time) key, so one observation
     # total serves both estimators — exactly as in the scalar path.
     observations = merged.n_releases

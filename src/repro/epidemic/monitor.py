@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +37,9 @@ from repro.geo.grid import GridWorld
 from repro.mobility.trajectory import TraceDB
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_integer
+
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from repro.engine.sharding import ShardTask
 
 __all__ = ["LocationMonitor", "MonitoringReport", "monitoring_utility", "perturbed_flows"]
 
@@ -233,16 +238,14 @@ def monitoring_utility(
     if len(true_db) == 0:
         raise DataError("true trace database is empty")
     if shards is not None or backend is not None:
-        return _monitoring_utility_sharded(
-            world,
-            mechanism,
-            true_db,
-            block_rows,
-            block_cols,
-            rng=rng,
-            batched=batched,
-            shards=1 if shards is None else int(shards),
-            backend=backend,
+        merged = _monitor_sharded(
+            world, mechanism, true_db, block_rows, block_cols, rng, batched, shards, backend
+        )
+        return MonitoringReport(
+            mean_euclidean_error=merged.weighted_mean("error"),
+            area_accuracy=merged.weighted_mean("area_hits"),
+            flow_l1_error=_flow_l1_error(merged.flows["true"], merged.flows["observed"]),
+            n_releases=merged.n_releases,
         )
     generator = ensure_rng(rng)
     monitor = LocationMonitor(world, block_rows, block_cols)
@@ -304,34 +307,12 @@ def _monitoring_utility_scalar(
 # ----------------------------------------------------------------------
 # Shard-parallel path (E1 over ShardPlan + ExecutionBackend)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _MonitorShardTask:
-    """One shard's monitoring workload: its users, streams, and traces.
-
-    Plain data plus the release source, so process backends can pickle it;
-    ``source`` is an :class:`~repro.engine.EngineRef` for spec-built engines
-    (workers rebuild and cache by spec hash) or the live mechanism.
-    ``times[i]`` / ``cells[i]`` are user ``users[i]``'s check-ins in time
-    order — the user-major layout whose per-user blocks concatenate back
-    into :meth:`TraceDB.to_arrays` order.
-    """
-
-    source: object
-    block_rows: int
-    block_cols: int
-    users: tuple[int, ...]
-    seeds: tuple[int, ...]
-    times: tuple[tuple[int, ...], ...]
-    cells: tuple[tuple[int, ...], ...]
-    batched: bool
-
-
-def _score_monitor_shard(task: _MonitorShardTask):
+def _score_monitor_shard(task: "ShardTask", block_rows: int, block_cols: int, batched: bool):
     """Score one shard's users on their own streams; module-level for pickling.
 
     Per user: their whole trace is released from their own seed stream
-    (one vectorized ``release_batch`` call, or the scalar per-release loop
-    when ``task.batched`` is false — same stream, so same points to float
+    (:func:`~repro.engine.sharding.release_keys`, or the scalar per-release
+    loop when ``batched`` is false — same stream, so same points to float
     identity).  Returns a :class:`~repro.engine.distributed.MetricShardResult`
     with per-user error / area-hit sums (weighted-mean components) and the
     shard's true/observed flow counters (flows are within-user transitions,
@@ -339,105 +320,45 @@ def _score_monitor_shard(task: _MonitorShardTask):
     """
     from repro.engine import resolve_release_source
     from repro.engine.distributed import MetricShardResult
+    from repro.engine.sharding import release_keys
 
     source = resolve_release_source(task.source)
     world = source.world
-    monitor = LocationMonitor(world, task.block_rows, task.block_cols)
-    n_users = len(task.users)
-    n_rows = sum(len(cells) for cells in task.cells)
+    monitor = LocationMonitor(world, block_rows, block_cols)
+    edges = task.bounds.tolist()
+    blocks = list(zip(edges[:-1], edges[1:]))
 
-    users_rows = np.empty(n_rows, dtype=int)
-    times_rows = np.empty(n_rows, dtype=int)
-    cells_rows = np.empty(n_rows, dtype=int)
-    points = np.empty((n_rows, 2), dtype=float)
-    error_sums = np.empty(n_users, dtype=float)
-    hit_sums = np.empty(n_users, dtype=float)
-    counts = np.empty(n_users, dtype=int)
-
-    offset = 0
-    for index, (user, seed, user_times, user_cells) in enumerate(
-        zip(task.users, task.seeds, task.times, task.cells)
-    ):
-        generator = np.random.default_rng(seed)
-        stop = offset + len(user_cells)
-        if task.batched:
-            batch = source.release_batch(list(user_cells), rng=generator)
-            points[offset:stop] = batch.points
-        else:  # scalar reference: same stream, one release() per check-in
-            for row, cell in enumerate(user_cells, start=offset):
+    if batched:
+        points = release_keys(source, task.seeds, task.bounds, task.cells).points
+    else:  # scalar reference: same stream, one release() per check-in
+        points = np.empty((len(task.cells), 2), dtype=float)
+        for seed, (first, last) in zip(task.seeds.tolist(), blocks):
+            generator = np.random.default_rng(seed)
+            for row, cell in enumerate(task.cells[first:last].tolist(), start=first):
                 points[row] = source.release(cell, rng=generator).point
-        users_rows[offset:stop] = user
-        times_rows[offset:stop] = user_times
-        cells_rows[offset:stop] = user_cells
 
-        centres = world.coords_array(np.asarray(user_cells, dtype=int))
-        errors = np.hypot(
-            points[offset:stop, 0] - centres[:, 0],
-            points[offset:stop, 1] - centres[:, 1],
-        )
-        error_sums[index] = errors.sum()
-        counts[index] = stop - offset
-        offset = stop
-
+    centres = world.coords_array(task.cells)
+    errors = np.hypot(points[:, 0] - centres[:, 0], points[:, 1] - centres[:, 1])
     released_cells = world.snap_batch(points)
-    hits = monitor.area_of_batch(released_cells) == monitor.area_of_batch(cells_rows)
-    # Per-user hit counts: rows are user-major, so reduce per contiguous block.
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    for index in range(n_users):
-        hit_sums[index] = np.count_nonzero(hits[bounds[index] : bounds[index + 1]])
-
+    hits = monitor.area_of_batch(released_cells) == monitor.area_of_batch(task.cells)
+    # Per-user sums over each user's contiguous block of rows.
+    users_rows = task.row_users
     return MetricShardResult(
-        sums={"error": error_sums, "area_hits": hit_sums},
-        counts=counts,
+        sums={
+            "error": np.array([errors[first:last].sum() for first, last in blocks], dtype=float),
+            "area_hits": np.array(
+                [np.count_nonzero(hits[first:last]) for first, last in blocks], dtype=float
+            ),
+        },
+        counts=np.diff(task.bounds),
         flows={
-            "true": monitor.flows_from_arrays(users_rows, times_rows, cells_rows),
-            "observed": monitor.flows_from_arrays(users_rows, times_rows, released_cells),
+            "true": monitor.flows_from_arrays(users_rows, task.times, task.cells),
+            "observed": monitor.flows_from_arrays(users_rows, task.times, released_cells),
         },
     )
 
 
-def _monitor_shard_tasks(
-    world: GridWorld,
-    mechanism,
-    true_db: TraceDB,
-    block_rows: int,
-    block_cols: int,
-    plan,
-    batched: bool,
-) -> list[_MonitorShardTask]:
-    """One picklable :class:`_MonitorShardTask` per non-empty plan shard.
-
-    Shared by the E1 report and the E11 flow pipeline so both score through
-    the exact same shard layout (and the same worker-side engine cache).
-    Workers score against the release source's own world; a mismatched
-    explicit world is refused instead of silently diverging from the
-    unsharded path (which uses the passed world throughout).
-    """
-    from repro.engine import EngineRef
-    from repro.errors import ValidationError
-
-    if mechanism.world != world:
-        raise ValidationError("mechanism was built for a different world")
-    source = EngineRef.wrap(mechanism)
-    tasks = []
-    for _, users, seeds in plan.iter_shards():
-        histories = [true_db.user_history(user) for user in users]
-        tasks.append(
-            _MonitorShardTask(
-                source=source,
-                block_rows=block_rows,
-                block_cols=block_cols,
-                users=users,
-                seeds=seeds,
-                times=tuple(tuple(c.time for c in history) for history in histories),
-                cells=tuple(tuple(c.cell for c in history) for history in histories),
-                batched=batched,
-            )
-        )
-    return tasks
-
-
-def _monitoring_utility_sharded(
+def _monitor_sharded(
     world: GridWorld,
     mechanism,
     true_db: TraceDB,
@@ -445,22 +366,29 @@ def _monitoring_utility_sharded(
     block_cols: int,
     rng,
     batched: bool,
-    shards: int,
+    shards: int | None,
     backend,
-) -> MonitoringReport:
-    """E1 over ``ShardPlan`` + ``ExecutionBackend`` (see ``monitoring_utility``)."""
+):
+    """Sharded E1/E11 scoring: the merged :class:`MetricShardResult`.
+
+    Shared by the E1 report and the E11 flow pipeline so both score through
+    the exact same shard layout (and the same worker-side engine cache).
+    Workers score against the release source's own world; a mismatched
+    explicit world is refused instead of silently diverging from the
+    unsharded path (which uses the passed world throughout).
+    """
     from repro.engine import ShardPlan
     from repro.engine.distributed import sharded_metric
+    from repro.engine.sharding import shard_tasks
+    from repro.errors import ValidationError
 
-    plan = ShardPlan.build(sorted(true_db.users()), shards, rng=rng)
-    tasks = _monitor_shard_tasks(world, mechanism, true_db, block_rows, block_cols, plan, batched)
-    merged = sharded_metric(_score_monitor_shard, tasks, backend=backend)
-    return MonitoringReport(
-        mean_euclidean_error=merged.weighted_mean("error"),
-        area_accuracy=merged.weighted_mean("area_hits"),
-        flow_l1_error=_flow_l1_error(merged.flows["true"], merged.flows["observed"]),
-        n_releases=merged.n_releases,
+    if mechanism.world != world:
+        raise ValidationError("mechanism was built for a different world")
+    plan = ShardPlan.build(sorted(true_db.users()), 1 if shards is None else int(shards), rng=rng)
+    scorer = partial(
+        _score_monitor_shard, block_rows=block_rows, block_cols=block_cols, batched=batched
     )
+    return sharded_metric(scorer, shard_tasks(mechanism, true_db, plan), backend=backend)
 
 
 def perturbed_flows(
@@ -493,16 +421,9 @@ def perturbed_flows(
     if len(true_db) == 0:
         raise DataError("true trace database is empty")
     if shards is not None or backend is not None:
-        from repro.engine import ShardPlan
-        from repro.engine.distributed import sharded_metric
-
-        plan = ShardPlan.build(
-            sorted(true_db.users()), 1 if shards is None else int(shards), rng=rng
+        merged = _monitor_sharded(
+            world, mechanism, true_db, block_rows, block_cols, rng, batched, shards, backend
         )
-        tasks = _monitor_shard_tasks(
-            world, mechanism, true_db, block_rows, block_cols, plan, batched
-        )
-        merged = sharded_metric(_score_monitor_shard, tasks, backend=backend)
         return Counter(merged.flows["true"]), Counter(merged.flows["observed"])
 
     generator = ensure_rng(rng)

@@ -39,7 +39,8 @@ stream layout rather than the unsharded protocol's single shared stream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -54,6 +55,9 @@ from repro.mobility.trajectory import TraceDB
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import check_integer, check_positive
 
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from repro.engine.sharding import ShardTask
+
 __all__ = ["TracingOutcome", "ContactTracingProtocol", "static_tracing"]
 
 MechanismFactory = Callable[[GridWorld, PolicyGraph, float], Mechanism]
@@ -62,53 +66,41 @@ MechanismFactory = Callable[[GridWorld, PolicyGraph, float], Mechanism]
 # ----------------------------------------------------------------------
 # Shard-parallel path (E3 over ShardPlan + ExecutionBackend)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _TracingShardTask:
-    """One shard's tracing workload: its users' windowed traces and streams.
-
-    Plain data plus the two release sources (base policy and Gc), so process
-    backends can pickle it; sources are
-    :class:`~repro.engine.EngineRef`-wrapped (spec-built engines travel as
-    spec hashes, live mechanisms as themselves).  ``infected`` is the
-    patient's disclosed ``(cell, time)`` set — shared, deterministic input
-    to every shard.  ``times[i]`` / ``cells[i]`` are user ``users[i]``'s
-    in-window check-ins in time order.
-    """
-
-    base_source: object
-    tracing_source: object
-    users: tuple[int, ...]
-    seeds: tuple[int, ...]
-    times: tuple[tuple[int, ...], ...]
-    cells: tuple[tuple[int, ...], ...]
-    infected: tuple[tuple[int, int], ...]
-    radius: float
-    min_count: int
-    batched: bool
-
-
-def _score_tracing_shard(task: _TracingShardTask):
+def _score_tracing_shard(
+    task: "ShardTask",
+    tracing_source,
+    infected: tuple[tuple[int, int], ...],
+    radius: float,
+    min_count: int,
+    batched: bool,
+):
     """Run the tracing procedure for one shard's users (module-level for pickling).
 
-    Each user's whole window rides their own seed stream: first the original
-    release under the base policy (screened against the infected set), then —
-    candidates only — the Gc re-send, continuing the *same* generator.  Every
-    decision (candidacy, flag, ground-truth contact) is a pure function of
-    the user's own trace, their stream, and the shared infected set, so the
-    per-user event sets merge by disjoint union.  ``task.batched`` selects
-    vectorized ``release_batch`` draws or the scalar per-release reference
-    loop — same streams, so the same points to float identity.
+    ``task`` is the shard's :class:`~repro.engine.sharding.ShardTask` over
+    the in-window check-ins, with the base-policy release source;
+    ``tracing_source`` is the Gc source and ``infected`` the patient's
+    disclosed ``(cell, time)`` set — shared, deterministic input to every
+    shard.  Each user's whole window rides their own seed stream: first the
+    original release under the base policy (screened against the infected
+    set), then — candidates only — the Gc re-send, continuing the *same*
+    generator (which is why this loop draws on its own rather than through
+    :func:`~repro.engine.sharding.release_keys`).  Every decision
+    (candidacy, flag, ground-truth contact) is a pure function of the user's
+    own trace, their stream, and the shared infected set, so the per-user
+    event sets merge by disjoint union.  ``batched`` selects vectorized
+    ``release_batch`` draws or the scalar per-release reference loop — same
+    streams, so the same points to float identity.
     """
     from repro.engine import resolve_release_source
     from repro.engine.distributed import MetricShardResult
 
-    base = resolve_release_source(task.base_source)
-    tracing = resolve_release_source(task.tracing_source)
+    base = resolve_release_source(task.source)
+    tracing = resolve_release_source(tracing_source)
     world = base.world
-    infected_pairs = set(task.infected)
-    patient_at = {time: cell for cell, time in task.infected}
+    infected_pairs = set(infected)
+    patient_at = {time: cell for cell, time in infected}
     centers_by_time: dict[int, list] = {}
-    for cell, time in task.infected:
+    for cell, time in infected:
         centers_by_time.setdefault(time, []).append(world.coords(cell))
 
     n_users = len(task.users)
@@ -118,24 +110,27 @@ def _score_tracing_shard(task: _TracingShardTask):
     flagged: set[int] = set()
     true_contacts: set[int] = set()
 
-    for index, (user, seed, user_times, user_cells) in enumerate(
-        zip(task.users, task.seeds, task.times, task.cells)
+    edges = task.bounds.tolist()
+    for index, (user, seed, first, last) in enumerate(
+        zip(task.users.tolist(), task.seeds.tolist(), edges[:-1], edges[1:])
     ):
-        if not user_cells:
+        if last == first:
             continue
+        user_times = task.times[first:last].tolist()
+        user_cells = task.cells[first:last].tolist()
         # Ground truth: the co-location rule against the patient's true trace.
         colocations = sum(
             1
             for time, cell in zip(user_times, user_cells)
             if patient_at.get(time) == cell
         )
-        if colocations >= task.min_count:
+        if colocations >= min_count:
             true_contacts.add(user)
 
         # Step 1: the original stream under the base policy, own stream.
         generator = np.random.default_rng(seed)
-        if task.batched:
-            batch = base.release_batch(list(user_cells), rng=generator)
+        if batched:
+            batch = base.release_batch(user_cells, rng=generator)
             released_cells = world.snap_batch(batch.points).tolist()
         else:  # scalar reference: same stream, one release() per check-in
             released_cells = [
@@ -146,7 +141,7 @@ def _score_tracing_shard(task: _TracingShardTask):
         # Step 4a: candidate screen on the released (snapped) stream.
         if not any(
             any(
-                euclidean(world.coords(cell), center) <= task.radius
+                euclidean(world.coords(cell), center) <= radius
                 for center in centers_by_time.get(time, ())
             )
             for time, cell in zip(user_times, released_cells)
@@ -162,8 +157,8 @@ def _score_tracing_shard(task: _TracingShardTask):
             0.0 if tracing.is_exact(cell) else tracing.epsilon for cell in user_cells
         )
         resend_counts[index] = len(user_cells)
-        if task.batched:
-            resend = tracing.release_batch(list(user_cells), rng=generator)
+        if batched:
+            resend = tracing.release_batch(user_cells, rng=generator)
             snapped = world.snap_batch(resend.points).tolist()
             exact = resend.exact.tolist()
         else:
@@ -175,7 +170,7 @@ def _score_tracing_shard(task: _TracingShardTask):
             for is_exact, cell, time in zip(exact, snapped, user_times)
             if is_exact and (cell, time) in infected_pairs
         )
-        if hits >= task.min_count:
+        if hits >= min_count:
             flagged.add(user)
 
     return MetricShardResult(
@@ -371,6 +366,7 @@ class ContactTracingProtocol:
         """The procedure over ``ShardPlan`` + ``ExecutionBackend`` (see ``run``)."""
         from repro.engine import EngineRef, ShardPlan
         from repro.engine.distributed import sharded_metric
+        from repro.engine.sharding import shard_tasks
 
         start = diagnosis_time - self.window + 1
         patient_history = true_db.user_history(patient, start=start, end=diagnosis_time)
@@ -397,30 +393,16 @@ class ContactTracingProtocol:
                 policy_name=tracing_policy.name,
             )
         plan = ShardPlan.build(others, 1 if shards is None else int(shards), rng=rng)
-        base_source = EngineRef.wrap(base_mechanism)
-        tracing_source = EngineRef.wrap(tracing_mechanism)
-        infected = tuple(sorted(infected_pairs))
-        tasks = []
-        for _, users, seeds in plan.iter_shards():
-            histories = [
-                true_db.user_history(user, start=start, end=diagnosis_time)
-                for user in users
-            ]
-            tasks.append(
-                _TracingShardTask(
-                    base_source=base_source,
-                    tracing_source=tracing_source,
-                    users=users,
-                    seeds=seeds,
-                    times=tuple(tuple(c.time for c in history) for history in histories),
-                    cells=tuple(tuple(c.cell for c in history) for history in histories),
-                    infected=infected,
-                    radius=radius,
-                    min_count=self.min_count,
-                    batched=batched,
-                )
-            )
-        merged = sharded_metric(_score_tracing_shard, tasks, backend=backend)
+        scorer = partial(
+            _score_tracing_shard,
+            tracing_source=EngineRef.wrap(tracing_mechanism),
+            infected=tuple(sorted(infected_pairs)),
+            radius=radius,
+            min_count=self.min_count,
+            batched=batched,
+        )
+        tasks = shard_tasks(base_mechanism, true_db, plan, start=start, end=diagnosis_time)
+        merged = sharded_metric(scorer, tasks, backend=backend)
         return TracingOutcome(
             flagged=frozenset(merged.sets["flagged"]),
             true_contacts=frozenset(merged.sets["true_contacts"]),

@@ -62,6 +62,7 @@ from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.engine.distributed import MetricShardResult
+from repro.engine.sharding import shard_tasks
 from repro.epidemic.analysis import pair_events
 from repro.epidemic.monitor import LocationMonitor, MonitoringReport, _flow_l1_error
 from repro.errors import DataError, SnapshotUnavailableError, ValidationError
@@ -434,16 +435,13 @@ def expected_coverage(plan: "ShardPlan", true_db: "TraceDB") -> dict[int, frozen
     shard listed for it (or for any earlier round) has committed.  Shards
     with no check-ins are omitted — they never stream a commit.
     """
-    coverage: dict[int, frozenset[int]] = {}
-    for shard, shard_users, _ in plan.iter_shards():
-        rounds = {
-            checkin.time
-            for user in shard_users
-            for checkin in true_db.user_history(user)
-        }
-        if rounds:
-            coverage[shard] = frozenset(rounds)
-    return coverage
+    # One task per non-empty shard, in iter_shards order.
+    tasks = shard_tasks(None, true_db, plan)
+    return {
+        shard: frozenset(np.unique(task.times).tolist())
+        for (shard, _, _), task in zip(plan.iter_shards(), tasks)
+        if len(task.times)
+    }
 
 
 def missing_shards(

@@ -260,8 +260,9 @@ class Server:
     def ingest(self, user: int, time: int, release: Release, purpose: str = "stream") -> int:
         """Store one release; returns the snapped cell recorded server-side."""
         cell = self.world.snap(release.point)
-        self.released_db.record(user, time, cell)
+        # Charge first: a capped ledger's refusal must leave no trace row.
         self.ledger.charge(user, time, release.epsilon, purpose=purpose)
+        self.released_db.record(user, time, cell)
         return cell
 
     def ingest_batch(
@@ -299,7 +300,9 @@ class Server:
         numpy.ndarray
             The snapped cell per row.  Snapping is vectorized; recorded
             trace rows and budget charges are identical to what per-row
-            scalar :meth:`ingest` calls would have produced.
+            scalar :meth:`ingest` calls would have produced.  A round that
+            would exceed a capped ledger raises
+            :class:`~repro.errors.BudgetError` before any row is written.
         """
         if self._metrics is not None:
             raise DataError(
@@ -320,6 +323,9 @@ class Server:
                     f"snapped cells of shape {cells.shape} do not match "
                     f"batch of {len(batch)} releases"
                 )
+        if self.ledger.cap is not None:
+            # Refuse an over-budget round before anything is written.
+            self.ledger.check_many(users, batch.epsilons)
         for user, cell, epsilon in zip(users, cells, batch.epsilons):
             self.released_db.record(int(user), time, int(cell))
             self.ledger.charge(int(user), time, float(epsilon), purpose=purpose)
@@ -384,9 +390,9 @@ class Server:
         Across shards the arrival order follows backend scheduling, but
         every user lives in exactly one shard, so all per-user state — the
         released trace rows, and each user's ledger total (charges arrive
-        in that user's time order) — is identical to what the barrier path
-        (:func:`~repro.engine.sharding.sharded_release_rounds` +
-        :meth:`ingest_batch` per round) produces.  Only the interleaving of
+        in that user's time order) — is identical to regrouping every
+        shard's rows into rounds by ``(time, user)`` and calling
+        :meth:`ingest_batch` per round.  Only the interleaving of
         *different* users' ledger entries can vary with scheduling.
         """
         users = np.asarray(users, dtype=int)

@@ -67,3 +67,40 @@ def pim(world, g1):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _stream_rounds(engine, db, plan, backend="serial"):
+    """``stream_shard_releases`` rows regrouped into ``(time, users, batch)``
+    rounds, ordered by ``(time, user)`` — the round-major shape
+    ``Server.ingest_batch`` consumes."""
+    from repro.core.mechanisms.base import ReleaseBatch
+    from repro.engine import stream_shard_releases
+
+    parts = list(stream_shard_releases(engine, db, plan, backend=backend))
+    users = np.concatenate([users for users, _, _ in parts])
+    times = np.concatenate([times for _, times, _ in parts])
+    columns = {
+        name: np.concatenate([getattr(batch, name) for _, _, batch in parts])
+        for name in ("points", "exact", "epsilons", "cells")
+    }
+    order = np.lexsort((users, times))
+    rounds = []
+    for time in np.unique(times).tolist():
+        rows = order[times[order] == time]
+        rounds.append(
+            (
+                time,
+                users[rows],
+                ReleaseBatch(
+                    **{name: column[rows] for name, column in columns.items()},
+                    mechanism=parts[0][2].mechanism,
+                ),
+            )
+        )
+    return rounds
+
+
+@pytest.fixture
+def stream_rounds():
+    """The round regrouping of the streamed shard releases (see above)."""
+    return _stream_rounds

@@ -339,13 +339,13 @@ class TestEngineRef:
 
 
 class TestServerStreaming:
-    def test_ingest_shard_matches_ingest_batch(self, world, db, engine):
-        from repro.engine import ShardPlan, sharded_release_rounds, stream_shard_releases
+    def test_ingest_shard_matches_ingest_batch(self, world, db, engine, stream_rounds):
+        from repro.engine import ShardPlan, stream_shard_releases
         from repro.server.pipeline import Server
 
         plan = ShardPlan.build(sorted(db.users()), 3, rng=8)
         barrier = Server(world)
-        for time, users, batch in sharded_release_rounds(engine, db, plan):
+        for time, users, batch in stream_rounds(engine, db, plan):
             barrier.ingest_batch(users, time, batch)
         streaming = Server(world)
         for users, times, batch in stream_shard_releases(engine, db, plan, backend="thread"):

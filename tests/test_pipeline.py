@@ -4,7 +4,8 @@ import pytest
 
 from repro.core.mechanisms import PolicyLaplaceMechanism
 from repro.core.policies import area_policy, contact_tracing_policy, full_disclosure_policy, grid_policy
-from repro.errors import DataError, PolicyError
+from repro.core.accounting import BudgetLedger
+from repro.errors import BudgetError, DataError, PolicyError
 from repro.geo.grid import GridWorld
 from repro.mobility.synthetic import geolife_like
 from repro.server.pipeline import Client, Server, run_release_rounds
@@ -96,6 +97,34 @@ class TestServer:
         server.push_policy(client, area_policy(world, 3, 3))
         assert client.policy.name.startswith("area")
 
+
+
+class TestCappedLedgerRefusal:
+    """A release the capped ledger refuses must leave no trace row behind."""
+
+    def test_ingest_batch_refusal_writes_nothing(self, world):
+        mechanism = PolicyLaplaceMechanism(world, grid_policy(world), epsilon=1.0)
+        server = Server(world, ledger=BudgetLedger(cap=1.0))
+        server.ingest_batch([7], 0, mechanism.release_batch([14], rng=0))
+        # User 8 fits the cap, user 7 does not: the whole round is refused.
+        with pytest.raises(BudgetError):
+            server.ingest_batch([8, 7], 1, mechanism.release_batch([15, 16], rng=1))
+        assert len(server.released_db.user_history(7)) == 1
+        assert server.released_db.user_history(8) == []
+        assert server.released_db.at_time(1) == {}
+        assert server.ledger.spent(7) == 1.0
+        assert server.ledger.spent(8) == 0.0
+        assert len(server.ledger) == 1
+
+    def test_ingest_refusal_writes_nothing(self, world):
+        mechanism = PolicyLaplaceMechanism(world, grid_policy(world), epsilon=1.0)
+        server = Server(world, ledger=BudgetLedger(cap=1.0))
+        server.ingest(7, 0, mechanism.release(14, rng=0))
+        with pytest.raises(BudgetError):
+            server.ingest(7, 1, mechanism.release(15, rng=1))
+        assert len(server.released_db.user_history(7)) == 1
+        assert server.released_db.location(7, 1) is None
+        assert server.ledger.spent(7) == 1.0
 
 class TestRunReleaseRounds:
     def test_full_population(self, world):

@@ -13,7 +13,6 @@ from repro.engine import (
     ensure_backend,
     register_backend,
     resolve_backend,
-    sharded_release_rounds,
 )
 from repro.engine.backends import ExecutionBackend, ProcessBackend, SerialBackend, ThreadBackend
 from repro.errors import DataError, ValidationError
@@ -268,9 +267,9 @@ class TestShardedDeterminism:
 
 
 class TestShardedRounds:
-    def test_round_structure(self, world, db, engine):
+    def test_round_structure(self, world, db, engine, stream_rounds):
         plan = ShardPlan.build(sorted(db.users()), 3, rng=2)
-        rounds = sharded_release_rounds(engine, db, plan, backend="serial")
+        rounds = stream_rounds(engine, db, plan, backend="serial")
         assert [time for time, _, _ in rounds] == db.times()
         for time, users, batch in rounds:
             snapshot = db.at_time(time)
@@ -278,12 +277,12 @@ class TestShardedRounds:
             assert len(batch) == len(users)
             assert batch.cells.tolist() == [snapshot[u] for u in users.tolist()]
 
-    def test_plan_must_cover_users(self, world, db, engine):
+    def test_plan_must_cover_users(self, world, db, engine, stream_rounds):
         plan = ShardPlan.build([1, 2], 2, rng=0)
         with pytest.raises(DataError):
-            sharded_release_rounds(engine, db, plan)
+            stream_rounds(engine, db, plan)
 
-    def test_sparse_traces(self, world, engine):
+    def test_sparse_traces(self, world, engine, stream_rounds):
         # Users observed at disjoint times: rounds contain only present users.
         from repro.mobility.trajectory import TraceDB
 
@@ -293,7 +292,7 @@ class TestShardedRounds:
         db.record(5, 1, 6)
         db.record(5, 2, 7)
         plan = ShardPlan.build([1, 5], 2, rng=0)
-        rounds = sharded_release_rounds(engine, db, plan)
+        rounds = stream_rounds(engine, db, plan)
         assert [(t, u.tolist()) for t, u, _ in rounds] == [(0, [1]), (1, [5]), (2, [1, 5])]
 
     def test_empty_db_rejected(self, world, engine):
