@@ -22,8 +22,6 @@ Two runners are execution-aware:
   flow matrices all shard over the same plans.  One execution backend is
   opened per runner and shared by every metric call in the sweep, so a
   ``pool`` backend's workers stay warm across the whole table.
-  ``config.async_ingest`` additionally overlaps E8's sharded release runs
-  with server commits through the bounded async commit queue.
 """
 
 from __future__ import annotations
@@ -799,8 +797,7 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
                 for shards in config.shard_counts:
                     start = perf_counter()
                     server = run_release_rounds_batched(
-                        world, db, engine, rng=config.seed, shards=shards, backend=backend,
-                        async_ingest=config.async_ingest,
+                        world, db, engine, rng=config.seed, shards=shards, backend=backend
                     )
                     seconds = perf_counter() - start
                     start = perf_counter()
@@ -821,8 +818,8 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
                         start = perf_counter()
                         durable_server = run_release_rounds_batched(
                             world, db, engine, rng=config.seed, shards=shards,
-                            backend=backend, async_ingest=config.async_ingest,
-                            store=config.store_path, resume=config.resume,
+                            backend=backend, store=config.store_path,
+                            resume=config.resume,
                         )
                         durable_seconds = perf_counter() - start
                         if list(durable_server.released_db.checkins()) != baseline:
@@ -851,8 +848,7 @@ def run_scalability(config: ExperimentConfig = ExperimentConfig()) -> ResultTabl
                         )
                         live_server = run_release_rounds_batched(
                             world, db, engine, rng=config.seed, shards=shards,
-                            backend=backend, async_ingest=config.async_ingest,
-                            live_metrics=views,
+                            backend=backend, live_metrics=views,
                         )
                         # Re-derive the raw release rows over the same plan
                         # (per-user streams make them identical to what the

@@ -35,9 +35,10 @@ def convex_hull(points: Iterable[Sequence[float]]) -> np.ndarray:
     """Convex hull of planar points, counter-clockwise (Andrew monotone chain).
 
     Returns an ``(m, 2)`` array of hull vertices.  Collinear interior points
-    are dropped.  Degenerate inputs (all points equal / collinear) return the
-    1- or 2-point "hull"; callers needing a full-dimensional body should go
-    through :meth:`ConvexPolygon.from_points`, which fattens such inputs.
+    are dropped.  Degenerate inputs (all points equal / collinear, including
+    hulls whose fan area underflows to zero) return the 1- or 2-point
+    "hull"; callers needing a full-dimensional body should go through
+    :meth:`ConvexPolygon.from_points`, which fattens such inputs.
     """
     pts = np.unique(np.asarray(list(points), dtype=float), axis=0)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -61,7 +62,13 @@ def convex_hull(points: Iterable[Sequence[float]]) -> np.ndarray:
     lower = _chain(pts)
     upper = _chain(pts[::-1])
     hull = np.array(lower[:-1] + upper[:-1])
-    if len(hull) < 3:  # all collinear
+    # All collinear — either exactly, or numerically: a hull whose every fan
+    # triangle from hull[0] has zero area (e.g. one vertex 1e-147 off a
+    # segment) is flat under ConvexPolygon's own area integration.
+    if len(hull) < 3 or not any(
+        0.5 * abs(_cross(hull[0], hull[i], hull[i + 1])) > 0
+        for i in range(1, len(hull) - 1)
+    ):
         return np.array([pts[0], pts[-1]])
     return hull
 

@@ -30,8 +30,8 @@ Bit-identity contract
 ---------------------
 Every frozen live value equals :func:`batch_recompute` — one from-scratch
 pass over the full raw rows — **bitwise**, at every round, for every shard
-count, execution backend, committer (sync / async), commit arrival order,
-and across a kill-and-resume.  Three properties make this hold:
+count, execution backend, commit arrival order, and across a
+kill-and-resume.  Three properties make this hold:
 
 * deltas are pure functions of a shard's rows: the per-row terms are taken
   after a ``(time, user)`` lexsort, and the occupancy and transition counts

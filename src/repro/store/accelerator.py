@@ -36,7 +36,7 @@ Each commit's increments are built once, as a :class:`ShardDelta`, from the
 committed rows alone; the store upserts it and the live metric views fold
 the same object.  Counts merge by integer addition (``ON CONFLICT ... DO
 UPDATE SET n = n + excluded.n``), so the summary state is independent of
-shard count, backend, committer, commit arrival order, and kill-resume —
+shard count, backend, commit arrival order, and kill-resume —
 the same argument that makes the live metric views bit-identical across
 those axes.
 """

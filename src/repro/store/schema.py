@@ -38,7 +38,7 @@ Pragma rationale (the Paper-Scanner recipe, see ``docs/persistence.md``):
 * ``journal_mode=WAL`` — writers append to a write-ahead log instead of
   rewriting pages in place, so a kill -9 mid-transaction never tears
   committed data, and concurrent readers (the resume poller, out-of-core
-  scans) proceed without blocking the committer.
+  scans) proceed without blocking the writer.
 * ``synchronous=NORMAL`` — in WAL mode this fsyncs only at checkpoints;
   a power loss may drop the *last* transactions but never corrupts the
   database.  Since every shard is re-derivable from its seeds, losing a
@@ -46,7 +46,7 @@ Pragma rationale (the Paper-Scanner recipe, see ``docs/persistence.md``):
   trade the recovery model is built around.
 * ``busy_timeout`` — a blocked connection retries for a bounded window
   instead of failing immediately, which is what lets a read-only monitor
-  poll the store while the committer holds the write lock.
+  poll the store while the writer holds the write lock.
 * ``foreign_keys=ON`` — belt-and-braces referential integrity for future
   schema growth (the current tables are self-contained).
 """

@@ -19,10 +19,10 @@ read API by streaming from the ``releases`` table, and
 into ``local_windows``.
 
 Threading: the single connection is opened with ``check_same_thread=False``
-so the :class:`~repro.server.pipeline.AsyncShardCommitter` background thread
-can commit while the main thread reads; CPython's ``sqlite3`` is built in
-serialized threading mode, and every commit runs under the server's ingest
-lock, so writes never interleave.
+so a caller's own writer thread can commit shards while another thread
+reads; CPython's ``sqlite3`` is built in serialized threading mode, and
+every commit runs under the server's ingest lock, so writes never
+interleave.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ properties generated here over random symmetric hulls.
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.geo.geometry import ConvexPolygon, convex_hull
@@ -85,6 +85,7 @@ def test_hull_idempotent(points):
 
 
 @given(st.lists(point, min_size=3, max_size=15))
+@example([(0.0, 1.0), (9.071193079749018e-148, 1.0), (-1.0, 0.0)])
 @settings(max_examples=60, deadline=None)
 def test_hull_area_dominates_any_triangle(points):
     hull = convex_hull(points)

@@ -5,9 +5,8 @@ approximate: for every round ``r``, ``server.metrics_at(r)`` — maintained
 incrementally by folding each shard commit the moment it lands — equals
 :func:`~repro.server.live_metrics.batch_recompute` over the raw release
 rows, under **every** execution shape.  This file pins that matrix
-(shards {1, 2, 5, 7} x serial/thread/process/pool/rpc x sync/async
-committers), the shard-count invariance of the values
-themselves, equality against independently-coded references (the E1/E11
+(shards {1, 2, 5, 7} x serial/thread/process/pool/rpc), the shard-count
+invariance of the values themselves, equality against independently-coded references (the E1/E11
 flow counter and the E2 contact-rate estimator), and the snapshot
 semantics around it: unavailable rounds name the shards they wait on,
 frozen partials are immutable, and every misuse fails loudly.
@@ -42,7 +41,9 @@ HORIZON = 8
 RNG = 11
 
 SHARD_COUNTS = [1, 2, 5, 7]
-COMMITTERS = ["sync", "async"]
+#: One committer (synchronous ``ingest_shard``); kept as a matrix axis so
+#: the test ids stay stable.
+COMMITTERS = ["sync"]
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def _plan(db, shards):
 def _raw_rows(world, engine, db, plan):
     """The full release row arrays a run over ``plan`` commits.
 
-    Per-user RNG streams make these identical to what any backend/committer
+    Per-user RNG streams make these identical to what any backend / shard-count
     combination ingests, so one serial capture serves every comparison.
     """
     parts = [
@@ -111,9 +112,7 @@ def batch_values_of(world, db, engine):
     return get
 
 
-def _live_run(world, db, engine, shards, backend, committer, **kwargs):
-    if committer == "async":
-        kwargs["async_ingest"] = True
+def _live_run(world, db, engine, shards, backend, **kwargs):
     return run_release_rounds_batched(
         world, db, engine, rng=RNG, shards=shards, backend=backend,
         live_metrics=True, **kwargs,
@@ -131,7 +130,7 @@ class TestDeterminismMatrix:
     def test_every_round_equals_batch_recompute(
         self, shards, committer, backend, world, db, engine, batch_values_of
     ):
-        server = _live_run(world, db, engine, shards, backend, committer)
+        server = _live_run(world, db, engine, shards, backend)
         want = batch_values_of(shards)
         assert set(server.metrics.rounds) == set(want)
         for r in server.metrics.rounds:
@@ -157,7 +156,7 @@ class TestDeterminismMatrix:
 class TestIndependentReferences:
     @pytest.fixture(scope="class")
     def run(self, world, db, engine):
-        server = _live_run(world, db, engine, 5, "serial", "sync")
+        server = _live_run(world, db, engine, 5, "serial")
         rows = _raw_rows(world, engine, db, _plan(db, 5))
         return server, rows
 

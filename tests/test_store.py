@@ -293,6 +293,14 @@ class TestOutOfCoreServer:
                 world, db, engine, rng=11, store=str(tmp_path / "s.sqlite")
             )
 
+    def test_sharded_resume_without_store_rejected(self, world, db, engine):
+        # Resuming needs a store to resume from; a sharded run must refuse
+        # rather than silently start fresh.
+        with pytest.raises(ValidationError, match="resume=True requires a store"):
+            run_release_rounds_batched(
+                world, db, engine, rng=1, shards=2, resume=True
+            )
+
 
 class TestLocalWindowSpill:
     def test_spilled_window_matches_in_memory(self, tmp_path):
@@ -567,16 +575,6 @@ class TestBudgetBeforeCommit:
                 server.ingest_shard(*self._shard(world, 1, 3), shard=1)
             assert self._state(server) == before
             assert server.ledger.spent(1) == 0.0
-
-    def test_async_ingest_refuses_before_any_write(self, world):
-        with TraceStore(":memory:") as store:
-            server = self._server(world, store)
-            server.ingest_shard(*self._shard(world, 2, 2), shard=0)
-            before = self._state(server)
-            with pytest.raises(BudgetError):
-                with server.async_committer(max_pending=1) as committer:
-                    committer.submit(*self._shard(world, 1, 3), shard=1)
-            assert self._state(server) == before
 
     def test_resume_replay_refuses_before_any_write(self, world):
         with TraceStore(":memory:") as store:
