@@ -85,11 +85,11 @@ def _score_trial_shard(task: _TrialShardTask):
     """Score one shard's trial slots on their own streams (module-level for pickling).
 
     Each slot draws its ``trials`` releases from its own seed stream — the
-    slot's block of the shared per-key draw loop
+    slot's block of the shared per-key bulk kernel
     (:func:`~repro.engine.sharding.release_keys`) when ``task.batched``,
     the scalar ``release`` loop otherwise (same stream, so the same points
     to float identity).  Batched scoring then runs over the whole shard at
-    once: the loop's single :class:`~repro.core.mechanisms.ReleaseBatch` is
+    once: the kernel's single :class:`~repro.core.mechanisms.ReleaseBatch` is
     pushed through the attacker's batched posterior machinery in one matrix
     pass (scoring is row-independent, so this cannot change any value).
     Returns per-slot error sums as a

@@ -15,17 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import BudgetError
+from repro.errors import BudgetError, ValidationError
 from repro.utils.validation import check_non_negative
 
 __all__ = ["BudgetEntry", "BudgetLedger"]
 
 
-def _as_scalar_list(values) -> list:
-    """Plain Python scalars from an array-like (fast bulk-charge path)."""
-    if isinstance(values, np.ndarray):
-        return values.tolist()
-    return list(values)
+def _epsilon_column(epsilons) -> np.ndarray:
+    """``epsilons`` as a flat float64 column (values are checked separately)."""
+    try:
+        return np.asarray(epsilons, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"epsilons must be numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,9 @@ class BudgetLedger:
         it, *before* recording the entry.
     record_entries:
         When ``False`` the ledger keeps only the per-user running totals
-        and skips the per-charge :class:`BudgetEntry` log — the
-        population-scale setting (a 10M-row ingest would otherwise retain
-        ~10M entry objects).  Cap enforcement and every total
+        and skips the per-charge log — the population-scale setting (a
+        10M-row ingest would otherwise retain 10M rows of columns, and
+        10M :class:`BudgetEntry` objects once :attr:`entries` is read).  Cap enforcement and every total
         (:meth:`spent`, :meth:`total_spent`) are unaffected;
         :attr:`entries` / :meth:`spent_in_window` / :meth:`by_purpose`
         cover only recorded entries.  Store-backed runs lose nothing: the
@@ -63,21 +64,26 @@ class BudgetLedger:
             check_non_negative("cap", cap)
         self.cap = cap
         self.record_entries = bool(record_entries)
-        self._entries: list[BudgetEntry] = []
+        # Scalar charges append BudgetEntry objects; charge_many appends one
+        # (users, times, epsilons, purpose) column chunk.  Chunks become
+        # entries only when read (see _entry_list).
+        self._entries: list = []
+        self._n_entries = 0
+        self._has_chunks = False
         self._spent: dict[int, float] = defaultdict(float)
 
     # ------------------------------------------------------------------
     def charge(self, user: int, time: int, epsilon: float, purpose: str = "") -> BudgetEntry:
         """Record an expenditure; zero-cost entries (exact disclosures) allowed."""
         check_non_negative("epsilon", epsilon)
-        if self.cap is not None and self._spent[user] + epsilon > self.cap + 1e-12:
-            raise BudgetError(
-                f"user {user} would spend {self._spent[user] + epsilon:.4g} "
-                f"exceeding cap {self.cap:.4g}"
-            )
+        if self.cap is not None:
+            total = self._spent.get(int(user), 0.0) + epsilon
+            if total > self.cap + 1e-12:
+                raise self._cap_error(user, total)
         entry = BudgetEntry(user=int(user), time=int(time), epsilon=float(epsilon), purpose=purpose)
         if self.record_entries:
             self._entries.append(entry)
+            self._n_entries += 1
         self._spent[entry.user] += entry.epsilon
         return entry
 
@@ -85,61 +91,110 @@ class BudgetLedger:
         """Bulk :meth:`charge` over parallel arrays; returns the row count.
 
         Semantically ``for u, t, e in zip(...): self.charge(u, t, e,
-        purpose)`` — same sequential cap enforcement, same scalar float
-        accumulation order (so per-user totals are bit-identical to the
-        scalar loop), same entries when ``record_entries`` is on — minus
-        the per-row method-call and dataclass overhead on the batched
-        ingest hot path.  Raises mid-way exactly where the scalar loop
-        would; rows before the offending one remain charged.
+        purpose)``, in one vectorised fold.  ``np.add.at`` adds the rows
+        into the per-user totals one at a time in row order, so every total
+        is bit-identical to the scalar loop's.  With ``record_entries`` the
+        rows are kept as one column chunk and become :class:`BudgetEntry`
+        objects only when :attr:`entries` (or a query over them) is read.
+
+        Raises where the scalar loop would, at the first row that is not a
+        finite epsilon >= 0 (:class:`~repro.errors.ValidationError`) or that
+        would exceed the cap (:class:`~repro.errors.BudgetError`); the rows
+        before it remain charged.
         """
-        cap = self.cap
-        spent = self._spent
-        entries = self._entries
-        record = self.record_entries
-        count = 0
-        for user, time, epsilon in zip(
-            _as_scalar_list(users), _as_scalar_list(times), _as_scalar_list(epsilons)
-        ):
-            if epsilon < 0:
-                check_non_negative("epsilon", epsilon)
-            user = int(user)
-            epsilon = float(epsilon)
-            if cap is not None and spent[user] + epsilon > cap + 1e-12:
-                raise BudgetError(
-                    f"user {user} would spend {spent[user] + epsilon:.4g} "
-                    f"exceeding cap {cap:.4g}"
-                )
-            if record:
-                entries.append(
-                    BudgetEntry(user=user, time=int(time), epsilon=epsilon, purpose=purpose)
-                )
-            spent[user] += epsilon
-            count += 1
-        return count
+        users = np.asarray(users).reshape(-1).astype(np.int64)
+        times = np.asarray(times).reshape(-1).astype(np.int64)
+        epsilons = _epsilon_column(epsilons)
+        n = min(len(users), len(times), len(epsilons))
+        users, times, epsilons = users[:n], times[:n], epsilons[:n]
+        stop, error = self._admissible(users, epsilons)
+        self._fold(users[:stop], times[:stop], epsilons[:stop], purpose)
+        if error is not None:
+            raise error
+        return n
 
     def check_many(self, users, epsilons) -> None:
         """Raise where :meth:`charge_many` would, without charging anything.
 
-        Replays :meth:`charge_many`'s row-order float accumulation over the
-        rows' users on scratch totals, so a caller can refuse a whole batch
-        before writing any of it.  A no-op on an uncapped ledger.
+        Replays :meth:`charge_many`'s validation and row-order cap scan on
+        scratch totals, so a caller can refuse a whole batch before writing
+        any of it.  An uncapped ledger only validates the epsilons.
         """
-        cap = self.cap
-        if cap is None:
+        users = np.asarray(users).reshape(-1).astype(np.int64)
+        _, error = self._admissible(users, _epsilon_column(epsilons))
+        if error is not None:
+            raise error
+
+    def _admissible(self, users: np.ndarray, epsilons: np.ndarray):
+        """``(stop, error)``: rows ``[:stop]`` may be charged, then ``error`` raised.
+
+        ``error`` is ``None`` when every row may be charged.  Otherwise it is
+        the exception the scalar loop raises at row ``stop``: a
+        :class:`~repro.errors.ValidationError` for an epsilon that is not a
+        finite number >= 0, or a :class:`~repro.errors.BudgetError` where a
+        capped ledger's sequential scan — each user's running total starting
+        from what they have spent and adding the rows in order, as
+        :meth:`charge` would — first passes the cap.  Nothing is charged.
+        """
+        bad = ~(np.isfinite(epsilons) & (epsilons >= 0))
+        stop = int(bad.argmax()) if bad.any() else len(epsilons)
+        if self.cap is not None:
+            limit = self.cap + 1e-12
+            spent = self._spent
+            pending: dict[int, float] = {}
+            for row, (user, epsilon) in enumerate(
+                zip(users[:stop].tolist(), epsilons[:stop].tolist())
+            ):
+                total = (pending[user] if user in pending else spent.get(user, 0.0)) + epsilon
+                if total > limit:
+                    return row, self._cap_error(user, total)
+                pending[user] = total
+        if stop < len(epsilons):
+            return stop, ValidationError(
+                f"epsilon must be a finite number >= 0, got {epsilons[stop]}"
+            )
+        return stop, None
+
+    def _cap_error(self, user, total: float) -> BudgetError:
+        return BudgetError(
+            f"user {int(user)} would spend {total:.4g} exceeding cap {self.cap:.4g}"
+        )
+
+    def _fold(self, users, times, epsilons, purpose: str) -> None:
+        """Add validated, cap-checked rows to the totals (and the entry log)."""
+        if not len(users):
             return
+        keys, first, inverse = np.unique(users, return_index=True, return_inverse=True)
         spent = self._spent
-        pending: dict[int, float] = {}
-        for user, epsilon in zip(_as_scalar_list(users), _as_scalar_list(epsilons)):
-            if epsilon < 0:
-                check_non_negative("epsilon", epsilon)
-            user = int(user)
-            total = pending[user] if user in pending else spent.get(user, 0.0)
-            total += float(epsilon)
-            if total > cap + 1e-12:
-                raise BudgetError(
-                    f"user {user} would spend {total:.4g} exceeding cap {cap:.4g}"
-                )
-            pending[user] = total
+        totals = np.array([spent.get(key, 0.0) for key in keys.tolist()])
+        np.add.at(totals, inverse, epsilons)
+        # Users new to the ledger join the totals dict in first-charge
+        # order, as the scalar loop inserts them (total_spent sums in it).
+        order = np.argsort(first, kind="stable")
+        spent.update(zip(keys[order].tolist(), totals[order].tolist()))
+        if self.record_entries:
+            self._entries.append((users.copy(), times.copy(), epsilons.copy(), purpose))
+            self._n_entries += len(users)
+            self._has_chunks = True
+
+    def _entry_list(self) -> list[BudgetEntry]:
+        """Every recorded entry in charge order, materialising pending chunks."""
+        if self._has_chunks:
+            flat: list[BudgetEntry] = []
+            for item in self._entries:
+                if type(item) is tuple:
+                    users, times, epsilons, purpose = item
+                    flat.extend(
+                        BudgetEntry(user, time, epsilon, purpose)
+                        for user, time, epsilon in zip(
+                            users.tolist(), times.tolist(), epsilons.tolist()
+                        )
+                    )
+                else:
+                    flat.append(item)
+            self._entries = flat
+            self._has_chunks = False
+        return self._entries
 
     def spent(self, user: int) -> float:
         """Total epsilon spent by ``user`` (sequential composition)."""
@@ -155,14 +210,14 @@ class BudgetLedger:
         """Epsilon spent by ``user`` with ``start <= time <= end``."""
         return sum(
             entry.epsilon
-            for entry in self._entries
+            for entry in self._entry_list()
             if entry.user == int(user) and start <= entry.time <= end
         )
 
     # ------------------------------------------------------------------
     @property
     def entries(self) -> tuple[BudgetEntry, ...]:
-        return tuple(self._entries)
+        return tuple(self._entry_list())
 
     def users(self) -> frozenset[int]:
         return frozenset(self._spent)
@@ -174,15 +229,15 @@ class BudgetLedger:
     def by_purpose(self) -> dict[str, float]:
         """Total epsilon grouped by the ``purpose`` tag of each entry."""
         totals: dict[str, float] = defaultdict(float)
-        for entry in self._entries:
+        for entry in self._entry_list():
             totals[entry.purpose] += entry.epsilon
         return dict(totals)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._n_entries
 
     def __repr__(self) -> str:
         return (
-            f"BudgetLedger(entries={len(self._entries)}, users={len(self._spent)}, "
+            f"BudgetLedger(entries={self._n_entries}, users={len(self._spent)}, "
             f"cap={self.cap})"
         )

@@ -11,20 +11,23 @@ Every implementation provides:
 
 Batched interface
 -----------------
-The scalar methods above are thin wrappers over two overridable hooks:
+Every noisy release consumes a fixed number of uniforms,
+:attr:`Mechanism.uniforms_per_release` (``k``), and a mechanism is defined
+by one transform hook:
 
-* :meth:`Mechanism._perturb_batch` — draw releases for many cells at once,
-  returning an ``(n, 2)`` array;
+* :meth:`Mechanism._perturb_from_uniforms` — map an ``(n, k)`` block of
+  uniforms (row ``i`` belongs to ``cells[i]``) to ``(n, 2)`` releases;
 * :meth:`Mechanism._pdf_batch` — evaluate the density on an ``(m, 2)`` grid
   of points against ``n`` cells at once, returning ``(m, n)``.
 
-The base class provides generic Python-loop fallbacks, so subclasses only
-need the scalar ``_perturb`` / ``_pdf``; the first-party mechanisms override
-the batch hooks with true NumPy vectorization and delegate the scalar hooks
-to singleton batches.  Because vectorized samplers consume uniforms from
-``rng.random((n, k))`` blocks row by row, ``release_batch(cells, rng)``
-draws *exactly* the stream that sequential ``release(cell, rng)`` calls
-would — batching is a pure throughput optimisation, not a semantic change.
+The base class is the only place uniforms are drawn.  :meth:`_perturb_batch`
+draws ``rng.random((n, k))`` row-major (tiled through a workspace when one
+is given) and :meth:`_perturb` is a singleton batch, so
+``release_batch(cells, rng)`` draws *exactly* the stream that sequential
+``release(cell, rng)`` calls would — batching is a pure throughput
+optimisation, not a semantic change.  :meth:`release_streams` serves many
+independent streams at once: each key fills its slice of a shared tile from
+its own generator, then one transform call runs per tile.
 :meth:`release_batch` returns a :class:`ReleaseBatch` (structure-of-arrays),
 and :meth:`pdf_matrix` is the batched likelihood the Bayesian adversary and
 the HMM filter consume.
@@ -39,7 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.policy_graph import PolicyGraph
-from repro.core.workspace import RoundWorkspace
+from repro.core.workspace import FUSED_TILE_ROWS, RoundWorkspace
 from repro.core.xp import NUMPY_BACKEND, ArrayBackend, resolve_array_backend
 from repro.errors import MechanismError
 from repro.geo.grid import GridWorld
@@ -150,6 +153,10 @@ class Mechanism(abc.ABC):
     #: (discrete output) rather than a planar density.
     discrete: bool = False
 
+    #: Uniforms one noisy release consumes (``k``): every subclass sets it,
+    #: and :meth:`_perturb_from_uniforms` reads exactly ``k`` per row.
+    uniforms_per_release: int
+
     def __init__(self, world: GridWorld, graph: PolicyGraph, epsilon: float) -> None:
         self.world = world
         self.graph = graph
@@ -256,8 +263,7 @@ class Mechanism(abc.ABC):
         Semantically equivalent to ``[self.release(c, rng) for c in cells]``
         — including the consumed RNG stream, so a seeded batched run
         reproduces a seeded scalar run element-wise — but the noisy subset is
-        drawn by :meth:`_perturb_batch`, which the first-party mechanisms
-        vectorize.
+        drawn in one :meth:`_perturb_batch` call.
 
         With ``workspace`` (a :class:`~repro.core.workspace.RoundWorkspace`)
         every output column and kernel temporary lives in the workspace's
@@ -267,24 +273,9 @@ class Mechanism(abc.ABC):
         with ``rng.random(out=...)``, which consumes the same stream as the
         allocating ``rng.random((n, k))``.
         """
-        if not isinstance(cells, np.ndarray):
-            cells = list(cells)
-        cell_arr = np.asarray(cells, dtype=int)
-        if cell_arr.ndim != 1:
-            raise MechanismError(f"cells must be a flat sequence, got shape {cell_arr.shape}")
+        cell_arr = self._checked_cells(cells)
         n = len(cell_arr)
-        covered, disclosed = self._coverage_masks()
-        in_world = (cell_arr >= 0) & (cell_arr < self.world.n_cells)
-        if not in_world.all():
-            bad = cell_arr[~in_world]
-            raise MechanismError(
-                f"cell {int(bad[0])} is not covered by policy {self.graph.name!r}"
-            )
-        if not covered[cell_arr].all():
-            bad = cell_arr[~covered[cell_arr]]
-            raise MechanismError(
-                f"cell {int(bad[0])} is not covered by policy {self.graph.name!r}"
-            )
+        disclosed = self._coverage_masks()[1]
         if workspace is None or not self.array_backend.is_numpy:
             exact = disclosed[cell_arr]
             points = np.empty((n, 2), dtype=float)
@@ -325,6 +316,83 @@ class Mechanism(abc.ABC):
             mechanism=self.name,
         )
 
+    def release_streams(
+        self,
+        cells,
+        seeds,
+        bounds,
+        workspace: "RoundWorkspace | None" = None,
+    ) -> ReleaseBatch:
+        """Release many keys' blocks of ``cells``, each from its own stream.
+
+        Key ``i`` owns rows ``bounds[i]:bounds[i + 1]`` of ``cells`` and draws
+        them from ``np.random.default_rng(seeds[i])``, so the result equals
+        one :meth:`release_batch` call per key on that generator, concatenated
+        (keys with no rows draw nothing).  The work is one bulk kernel: keys
+        are packed whole into tiles of at most ``FUSED_TILE_ROWS`` noisy rows
+        (a longer key gets a tile of its own), each key fills its slice of
+        the tile's uniforms with ``rng.random(out=...)``, skipping disclosed
+        rows, and one :meth:`_perturb_from_uniforms` call transforms the
+        tile.  Scratch memory is bounded by the tile, not by ``len(cells)``;
+        with ``workspace`` it is reused across calls.  The returned columns
+        are fresh arrays.
+        """
+        cell_arr = self._checked_cells(cells)
+        n = len(cell_arr)
+        key_bounds = np.asarray(bounds, dtype=np.int64)
+        seed_list = np.asarray(seeds).tolist()
+        if (
+            len(key_bounds) != len(seed_list) + 1
+            or key_bounds[0] != 0
+            or key_bounds[-1] != n
+        ):
+            raise MechanismError(
+                f"{len(seed_list)} keys over {n} rows need {len(seed_list) + 1} "
+                f"bounds running from 0 to {n}"
+            )
+        exact = self._coverage_masks()[1][cell_arr]
+        points = np.empty((n, 2), dtype=float)
+        epsilons = np.where(exact, 0.0, self.epsilon)
+        # Noisy rows in row order; key i owns noisy[noisy_bounds[i]:noisy_bounds[i + 1]].
+        noisy = np.flatnonzero(~exact)
+        noisy_bounds = np.searchsorted(noisy, key_bounds)
+        if len(noisy) < n:
+            points[exact] = self.world.coords_array(cell_arr[exact])
+        if len(noisy):
+            if workspace is None:
+                workspace = RoundWorkspace()
+            k = self.uniforms_per_release
+            longest = int(np.diff(noisy_bounds).max())
+            tile_rows = max(min(len(noisy), FUSED_TILE_ROWS), longest)
+            u = workspace.buffer(f"uniforms{k}", tile_rows, cols=k)
+            edges = noisy_bounds.tolist()
+            start = 0  # first noisy row of the open tile
+            for seed, low, high in zip(seed_list, edges[:-1], edges[1:]):
+                if high == low:
+                    continue
+                if high - start > FUSED_TILE_ROWS and low > start:
+                    self._transform_tile(cell_arr, noisy, start, low, u, points, workspace)
+                    start = low
+                np.random.default_rng(seed).random(out=u[low - start : high - start])
+            self._transform_tile(cell_arr, noisy, start, len(noisy), u, points, workspace)
+        return ReleaseBatch(
+            points=points, exact=exact, epsilons=epsilons, cells=cell_arr, mechanism=self.name
+        )
+
+    def _transform_tile(self, cells, noisy, start, stop, u, points, workspace) -> None:
+        """Transform noisy rows ``noisy[start:stop]`` from ``u`` into ``points``."""
+        m = stop - start
+        if len(noisy) == len(cells):  # nothing disclosed: rows are contiguous
+            self._perturb_from_uniforms(
+                cells[start:stop], u[:m], out=points[start:stop], workspace=workspace
+            )
+            return
+        rows = noisy[start:stop]
+        tile_cells = np.take(cells, rows, out=workspace.int_buffer("tile_cells", m))
+        points[rows] = self._perturb_from_uniforms(
+            tile_cells, u[:m], out=workspace.points_buffer("tile_points", m), workspace=workspace
+        )
+
     def pdf_matrix(
         self, points, cells: Sequence[int] | None = None, dtype=None
     ) -> np.ndarray:
@@ -362,6 +430,27 @@ class Mechanism(abc.ABC):
         if index.size:
             out[:, index] = self._pdf_batch(pts, cell_arr[index])
         return out
+
+    def _checked_cells(self, cells) -> np.ndarray:
+        """``cells`` as a flat int array, every cell covered by the policy."""
+        if not isinstance(cells, np.ndarray):
+            cells = list(cells)
+        cell_arr = np.asarray(cells, dtype=int)
+        if cell_arr.ndim != 1:
+            raise MechanismError(f"cells must be a flat sequence, got shape {cell_arr.shape}")
+        covered = self._coverage_masks()[0]
+        in_world = (cell_arr >= 0) & (cell_arr < self.world.n_cells)
+        if not in_world.all():
+            bad = cell_arr[~in_world]
+            raise MechanismError(
+                f"cell {int(bad[0])} is not covered by policy {self.graph.name!r}"
+            )
+        if not covered[cell_arr].all():
+            bad = cell_arr[~covered[cell_arr]]
+            raise MechanismError(
+                f"cell {int(bad[0])} is not covered by policy {self.graph.name!r}"
+            )
+        return cell_arr
 
     def _coverage_masks(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached per-world-cell ``(covered, disclosed)`` boolean masks.
@@ -423,12 +512,30 @@ class Mechanism(abc.ABC):
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw a noisy release for a non-disclosable cell."""
+    def _perturb_from_uniforms(
+        self,
+        cells: np.ndarray,
+        u: np.ndarray,
+        out: np.ndarray | None = None,
+        workspace: RoundWorkspace | None = None,
+    ) -> np.ndarray:
+        """Noisy releases for non-disclosable ``cells`` from uniforms: ``(n, 2)``.
+
+        ``u`` is ``(n, k)`` with ``k = uniforms_per_release``; row ``i``
+        drives ``cells[i]`` alone, so any split of the rows into calls gives
+        the same values.  ``u`` is scratch the hook may overwrite.  ``out``
+        (an ``(n, 2)`` float array) receives the releases in place when
+        given; ``workspace`` pools kernel temporaries.  On a non-numpy array
+        backend the hook runs its arithmetic there and copies back.
+        """
 
     @abc.abstractmethod
     def _pdf(self, point: np.ndarray, cell: int) -> float:
         """Release density at ``point`` for a non-disclosable ``cell``."""
+
+    def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw one noisy release for a non-disclosable cell (a singleton batch)."""
+        return self._perturb_batch(np.array([cell]), rng)[0]
 
     def _perturb_batch(
         self,
@@ -439,18 +546,36 @@ class Mechanism(abc.ABC):
     ) -> np.ndarray:
         """Draw noisy releases for many non-disclosable cells: ``(n, 2)``.
 
-        Generic fallback: a Python loop over :meth:`_perturb`.  Vectorized
-        mechanisms override this (and usually delegate ``_perturb`` back to a
-        singleton batch so scalar and batched runs share one RNG stream).
-        ``out`` (an ``(n, 2)`` float array) receives the draws in place when
-        given; ``workspace`` pools the kernel temporaries.  Both are
-        optional for overrides too — the fused path supplies them, the
-        staged path does not, and results are element-wise identical.
+        Draws ``k`` uniforms per row from ``rng`` in row order and hands
+        them to :meth:`_perturb_from_uniforms`.  With ``workspace`` the rows
+        stream through ``FUSED_TILE_ROWS``-row tiles of pooled uniforms
+        (``rng.random(out=...)`` per tile consumes the same stream as one
+        ``rng.random((n, k))`` block), so the multi-pass kernels run out of
+        cache and the output lands in ``out`` or a pooled buffer.  The
+        uniforms are always numpy draws, whatever the array backend.
         """
+        n = len(cells)
+        k = self.uniforms_per_release
+        if workspace is None or not self.array_backend.is_numpy:
+            return self._perturb_from_uniforms(cells, rng.random((n, k)), out=out)
         if out is None:
-            out = np.empty((len(cells), 2), dtype=float)
-        for i, cell in enumerate(cells):
-            out[i] = self._perturb(int(cell), rng)
+            out = workspace.points_buffer("perturb_points", n)
+        u = workspace.buffer(f"uniforms{k}", min(n, FUSED_TILE_ROWS), cols=k)
+        for start in range(0, n, FUSED_TILE_ROWS):
+            stop = min(start + FUSED_TILE_ROWS, n)
+            tile = u[: stop - start]
+            rng.random(out=tile)
+            self._perturb_from_uniforms(
+                cells[start:stop], tile, out=out[start:stop], workspace=workspace
+            )
+        return out
+
+    def _to_host(self, device, out: np.ndarray | None) -> np.ndarray:
+        """Copy a backend array to a float numpy array (into ``out`` if given)."""
+        result = np.asarray(self.array_backend.asnumpy(device), dtype=float)
+        if out is None:
+            return result
+        out[...] = result
         return out
 
     def _pdf_batch(self, points: np.ndarray, cells: np.ndarray) -> np.ndarray:

@@ -37,6 +37,8 @@ class GeoIndistinguishabilityMechanism(Mechanism):
     the PGLP policy whose guarantee Geo-I matches on unit-spaced grids.
     """
 
+    uniforms_per_release = 3  # planar Laplace: two radius exponentials, one angle
+
     def __init__(self, world: GridWorld, epsilon: float, graph: PolicyGraph | None = None) -> None:
         super().__init__(world, graph if graph is not None else grid_policy(world), epsilon)
 
@@ -44,43 +46,22 @@ class GeoIndistinguishabilityMechanism(Mechanism):
         """Geo-I never discloses: every location gets planar Laplace noise."""
         return False
 
-    def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
-        return self._perturb_batch(np.array([cell]), rng)[0]
-
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
+    def _perturb_from_uniforms(self, cells, u, out=None, workspace=None) -> np.ndarray:
         # Same inverse-CDF planar Laplace as P-LM, at the constant Geo-I rate.
-        n = len(cells)
         backend = self.array_backend
         if not backend.is_numpy:
-            device = planar_laplace_perturb(
-                backend.from_numpy(self.world.coords_array(cells)),
-                self.epsilon,
-                backend.from_numpy(rng.random((n, 3))),
-                xp=backend.xp,
+            return self._to_host(
+                planar_laplace_perturb(
+                    backend.from_numpy(self.world.coords_array(cells)),
+                    self.epsilon,
+                    backend.from_numpy(u),
+                    xp=backend.xp,
+                ),
+                out,
             )
-            result = np.asarray(backend.asnumpy(device), dtype=float)
-            if out is not None:
-                out[...] = result
-                return out
-            return result
-        if workspace is not None:
-            centres = self.world.coords_array(
-                cells, out=workspace.points_buffer("geoi_centres", n), workspace=workspace
-            )
-            u = workspace.buffer("geoi_uniforms", n, cols=3)
-            rng.random(out=u)
-            if out is None:
-                out = workspace.points_buffer("geoi_points", n)
-            return planar_laplace_perturb(centres, self.epsilon, u, out=out)
-        return planar_laplace_perturb(
-            self.world.coords_array(cells), self.epsilon, rng.random((n, 3)), out=out
-        )
+        pooled = None if workspace is None else workspace.points_buffer("geoi_centres", len(cells))
+        centres = self.world.coords_array(cells, out=pooled)
+        return planar_laplace_perturb(centres, self.epsilon, u, out=out)
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:
         x, y = self.world.coords(cell)

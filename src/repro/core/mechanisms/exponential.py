@@ -24,13 +24,35 @@ from repro.core.policy_graph import PolicyGraph
 from repro.errors import MechanismError
 from repro.geo.grid import GridWorld
 
-__all__ = ["GraphExponentialMechanism"]
+__all__ = ["GraphExponentialMechanism", "inverse_cdf_release"]
+
+
+def inverse_cdf_release(world, cells, u, support, cmf, out=None, workspace=None) -> np.ndarray:
+    """Centres of discrete releases, one uniform per row through a cumulative pmf.
+
+    Row ``i`` releases ``support[cells[i]][j]``, where ``j`` is where
+    ``u[i, 0]`` falls in ``cmf(cells[i])`` (clamped to the last candidate).
+    The walk is per-row table lookups, not arithmetic; the workspace pools
+    the choice buffer.  Shared by the graph-exponential and LP-optimal
+    mechanisms.
+    """
+    n = len(cells)
+    if workspace is None:
+        choices = np.empty(n, dtype=int)
+    else:
+        choices = workspace.int_buffer("discrete_choices", n)
+    for i, (cell, draw) in enumerate(zip(cells.tolist(), u[:, 0].tolist())):
+        candidates = support[cell]
+        index = int(np.searchsorted(cmf(cell), draw, side="right"))
+        choices[i] = candidates[min(index, len(candidates) - 1)]
+    return world.coords_array(choices, out=out, workspace=workspace)
 
 
 class GraphExponentialMechanism(Mechanism):
     """Exponential mechanism scored by policy-graph distance."""
 
     discrete = True
+    uniforms_per_release = 1  # one inverse-CDF draw over the support
 
     def __init__(self, world: GridWorld, graph: PolicyGraph, epsilon: float) -> None:
         super().__init__(world, graph, epsilon)
@@ -79,33 +101,10 @@ class GraphExponentialMechanism(Mechanism):
         return cached
 
     # ------------------------------------------------------------------
-    def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
-        return self._perturb_batch(np.array([cell]), rng)[0]
-
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
-        # One uniform per cell, mapped through the cell's cumulative pmf.
-        # The inverse-CDF walk is per-cell Python either way (table lookups,
-        # not arithmetic); the workspace path pools the uniform/choice
-        # buffers and writes the centres in place.
-        n = len(cells)
-        if workspace is not None:
-            u = workspace.buffer("gexp_uniforms", n)
-            rng.random(out=u)
-            choices = workspace.int_buffer("gexp_choices", n)
-        else:
-            u = rng.random(n)
-            choices = np.empty(n, dtype=int)
-        for i, cell in enumerate(cells):
-            candidates = self._candidates[int(cell)]
-            index = int(np.searchsorted(self._cmf(int(cell)), u[i], side="right"))
-            choices[i] = candidates[min(index, len(candidates) - 1)]
-        return self.world.coords_array(choices, out=out, workspace=workspace)
+    def _perturb_from_uniforms(self, cells, u, out=None, workspace=None) -> np.ndarray:
+        return inverse_cdf_release(
+            self.world, cells, u, self._candidates, self._cmf, out=out, workspace=workspace
+        )
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:
         """Pmf of the cell whose centre the released point snaps to."""

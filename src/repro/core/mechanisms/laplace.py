@@ -30,8 +30,6 @@ from repro.core.policy_graph import PolicyGraph
 from repro.errors import MechanismError
 from repro.geo.grid import GridWorld
 
-from repro.core.workspace import FUSED_TILE_ROWS
-
 __all__ = ["PolicyLaplaceMechanism", "planar_laplace_perturb", "planar_laplace_pdf"]
 
 
@@ -83,6 +81,8 @@ def planar_laplace_pdf(points: np.ndarray, centres: np.ndarray, rates, xp=np) ->
 
 class PolicyLaplaceMechanism(Mechanism):
     """Planar Laplace noise calibrated to per-component edge sensitivity."""
+
+    uniforms_per_release = 3  # two exponentials for the radius, one angle
 
     def __init__(self, world: GridWorld, graph: PolicyGraph, epsilon: float) -> None:
         super().__init__(world, graph, epsilon)
@@ -144,62 +144,29 @@ class PolicyLaplaceMechanism(Mechanism):
     def _rates_for(self, cells: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return np.take(self._rate_table, cells, out=out)
 
-    def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
-        return self._perturb_batch(np.array([cell]), rng)[0]
-
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
-        n = len(cells)
+    def _perturb_from_uniforms(self, cells, u, out=None, workspace=None) -> np.ndarray:
         backend = self.array_backend
         if not backend.is_numpy:
-            # Uniforms still come off the numpy generator (stream contract);
-            # only the arithmetic moves to the device.
-            device = planar_laplace_perturb(
-                backend.from_numpy(self.world.coords_array(cells)),
-                backend.from_numpy(self._rates_for(cells)),
-                backend.from_numpy(rng.random((n, 3))),
-                xp=backend.xp,
-            )
-            result = np.asarray(backend.asnumpy(device), dtype=float)
-            if out is not None:
-                out[...] = result
-                return out
-            return result
-        if workspace is not None:
-            if out is None:
-                out = workspace.points_buffer("plm_points", n)
-            # Stream the round through tile-sized scratch: the centre / rate
-            # gathers and the uniform draws all land in the same small
-            # buffers every tile, so the multi-pass kernel runs out of cache
-            # and only ``out`` travels to RAM.  Draw order and per-element
-            # ops are unchanged, so the output is bit-exact against the
-            # allocating path on the same RNG stream.
-            tile_rows = min(n, FUSED_TILE_ROWS)
-            centres = workspace.points_buffer("plm_centres", tile_rows)
-            rates = workspace.buffer("plm_rates", tile_rows)
-            u = workspace.buffer("plm_uniforms", tile_rows, cols=3)
-            for start in range(0, n, FUSED_TILE_ROWS):
-                stop = min(start + FUSED_TILE_ROWS, n)
-                m = stop - start
-                tile_cells = cells[start:stop]
-                self.world.coords_array(tile_cells, out=centres[:m])
-                self._rates_for(tile_cells, out=rates[:m])
-                rng.random(out=u[:m])
+            # Only the arithmetic moves to the device; the uniforms are numpy draws.
+            return self._to_host(
                 planar_laplace_perturb(
-                    centres[:m], rates[:m], u[:m], out=out[start:stop]
-                )
-            return out
-        return planar_laplace_perturb(
-            self.world.coords_array(cells),
-            self._rates_for(cells),
-            rng.random((n, 3)),
-            out=out,
-        )
+                    backend.from_numpy(self.world.coords_array(cells)),
+                    backend.from_numpy(self._rates_for(cells)),
+                    backend.from_numpy(u),
+                    xp=backend.xp,
+                ),
+                out,
+            )
+        if workspace is None:
+            return planar_laplace_perturb(
+                self.world.coords_array(cells), self._rates_for(cells), u, out=out
+            )
+        # The centre / rate gathers land in tile-sized pooled scratch, so the
+        # multi-pass kernel runs out of cache and only ``out`` travels to RAM.
+        n = len(cells)
+        centres = self.world.coords_array(cells, out=workspace.points_buffer("plm_centres", n))
+        rates = self._rates_for(cells, out=workspace.buffer("plm_rates", n))
+        return planar_laplace_perturb(centres, rates, u, out=out)
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:
         # Scalar closed form; pdf has no RNG stream to keep in sync, so the

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.mechanisms.base import Mechanism
+from repro.core.mechanisms.exponential import inverse_cdf_release
 from repro.core.policy_graph import PolicyGraph
 from repro.errors import MechanismError
 from repro.geo.grid import GridWorld
@@ -48,6 +49,7 @@ class OptimalDiscreteMechanism(Mechanism):
     """
 
     discrete = True
+    uniforms_per_release = 1  # one inverse-CDF draw over the LP row
 
     def __init__(
         self,
@@ -174,32 +176,10 @@ class OptimalDiscreteMechanism(Mechanism):
             self._cmf_rows[cell] = cached
         return cached
 
-    def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
-        return self._perturb_batch(np.array([cell]), rng)[0]
-
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
-        # One uniform per cell through the LP row's cumulative pmf; the
-        # workspace path pools the uniform/choice buffers and writes the
-        # centres in place (see GraphExponentialMechanism._perturb_batch).
-        n = len(cells)
-        if workspace is not None:
-            u = workspace.buffer("opt_uniforms", n)
-            rng.random(out=u)
-            choices = workspace.int_buffer("opt_choices", n)
-        else:
-            u = rng.random(n)
-            choices = np.empty(n, dtype=int)
-        for i, cell in enumerate(cells):
-            support = self._support[int(cell)]
-            index = int(np.searchsorted(self._cmf(int(cell)), u[i], side="right"))
-            choices[i] = support[min(index, len(support) - 1)]
-        return self.world.coords_array(choices, out=out, workspace=workspace)
+    def _perturb_from_uniforms(self, cells, u, out=None, workspace=None) -> np.ndarray:
+        return inverse_cdf_release(
+            self.world, cells, u, self._support, self._cmf, out=out, workspace=workspace
+        )
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:
         released = self.world.snap(point)

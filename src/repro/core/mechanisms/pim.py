@@ -38,6 +38,8 @@ __all__ = ["PolicyPlanarIsotropicMechanism"]
 class PolicyPlanarIsotropicMechanism(Mechanism):
     """K-norm mechanism over the per-component edge sensitivity hull."""
 
+    uniforms_per_release = 6  # three Gamma(3) exponentials, three Uniform(K)
+
     def __init__(self, world: GridWorld, graph: PolicyGraph, epsilon: float) -> None:
         super().__init__(world, graph, epsilon)
         # Sensitivity hulls are pure (world, graph) geometry — epsilon only
@@ -116,9 +118,6 @@ class PolicyPlanarIsotropicMechanism(Mechanism):
         return 3.0 / self.epsilon * math.sqrt(second_moment)
 
     # ------------------------------------------------------------------
-    def _perturb(self, cell: int, rng: np.random.Generator) -> np.ndarray:
-        return self._perturb_batch(np.array([cell]), rng)[0]
-
     def _sample_directions(
         self, component: np.ndarray, u: np.ndarray, directions: np.ndarray
     ) -> np.ndarray:
@@ -130,26 +129,28 @@ class PolicyPlanarIsotropicMechanism(Mechanism):
             )
         return directions
 
-    def _perturb_batch(
-        self,
-        cells: np.ndarray,
-        rng: np.random.Generator,
-        out: np.ndarray | None = None,
-        workspace=None,
-    ) -> np.ndarray:
+    def _perturb_from_uniforms(self, cells, u, out=None, workspace=None) -> np.ndarray:
         # Hardt-Talwar: z = x(s) + r * u with r ~ Gamma(3, 1/eps) (three
-        # exponentials by inverse CDF) and u ~ Uniform(K).  Six uniforms per
-        # row keep the stream identical to scalar sequential releases; cells
-        # are then grouped by component so each hull samples vectorized.
+        # exponentials by inverse CDF, columns 0-2) and u ~ Uniform(K)
+        # (columns 3-5); cells are grouped by component so each hull samples
+        # vectorized.
         n = len(cells)
         backend = self.array_backend
+        pooled = workspace is not None and backend.is_numpy
+        component = np.take(
+            self._component_table,
+            cells,
+            out=workspace.int_buffer("ppim_component", n) if pooled else None,
+        )
+        directions = self._sample_directions(
+            component,
+            u,
+            workspace.points_buffer("ppim_directions", n) if pooled else np.empty((n, 2)),
+        )
         if not backend.is_numpy:
             # Hull sampling is host geometry; the radius/combine arithmetic
-            # runs on the device namespace (uniforms stay on the numpy RNG).
+            # runs on the device namespace.
             xp = backend.xp
-            u = rng.random((n, 6))
-            component = np.take(self._component_table, cells)
-            directions = self._sample_directions(component, u, np.empty((n, 2)))
             du = backend.from_numpy(u[:, :3])
             radii = -(
                 xp.log1p(-du[:, 0]) + xp.log1p(-du[:, 1]) + xp.log1p(-du[:, 2])
@@ -157,51 +158,23 @@ class PolicyPlanarIsotropicMechanism(Mechanism):
             device = backend.from_numpy(self.world.coords_array(cells)) + radii[
                 :, None
             ] * backend.from_numpy(directions)
-            result = np.asarray(backend.asnumpy(device), dtype=float)
-            if out is not None:
-                out[...] = result
-                return out
-            return result
-        if workspace is not None:
-            u = workspace.buffer("ppim_uniforms", n, cols=6)
-            rng.random(out=u)
-            u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
-            np.negative(u0, out=u0)
-            np.log1p(u0, out=u0)
-            np.negative(u1, out=u1)
-            np.log1p(u1, out=u1)
-            np.negative(u2, out=u2)
-            np.log1p(u2, out=u2)
-            np.add(u0, u1, out=u0)
-            np.add(u0, u2, out=u0)
-            np.negative(u0, out=u0)
-            np.divide(u0, self.epsilon, out=u0)  # u0 now holds the radii
-            component = np.take(
-                self._component_table, cells, out=workspace.int_buffer("ppim_component", n)
-            )
-            directions = self._sample_directions(
-                component, u, workspace.points_buffer("ppim_directions", n)
-            )
-            centres = self.world.coords_array(
-                cells, out=workspace.points_buffer("ppim_centres", n), workspace=workspace
-            )
-            if out is None:
-                out = workspace.points_buffer("ppim_points", n)
-            np.multiply(directions, u[:, 0:1], out=out)
-            np.add(out, centres, out=out)
-            return out
-        u = rng.random((n, 6))
-        radii = -(
-            np.log1p(-u[:, 0]) + np.log1p(-u[:, 1]) + np.log1p(-u[:, 2])
-        ) / self.epsilon
-        component = np.take(self._component_table, cells)
-        directions = self._sample_directions(component, u, np.empty((n, 2)))
-        centres = self.world.coords_array(cells)
-        result = centres + radii[:, None] * directions
-        if out is not None:
-            out[...] = result
-            return out
-        return result
+            return self._to_host(device, out)
+        u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
+        for column in (u0, u1, u2):
+            np.negative(column, out=column)
+            np.log1p(column, out=column)
+        np.add(u0, u1, out=u0)
+        np.add(u0, u2, out=u0)
+        np.negative(u0, out=u0)
+        np.divide(u0, self.epsilon, out=u0)  # u0 now holds the radii
+        centres = self.world.coords_array(
+            cells, out=workspace.points_buffer("ppim_centres", n) if pooled else None
+        )
+        if out is None:
+            out = np.empty((n, 2))
+        np.multiply(directions, u[:, 0:1], out=out)
+        np.add(out, centres, out=out)
+        return out
 
     def _pdf(self, point: np.ndarray, cell: int) -> float:
         hull = self._hull_by_component[self._component_index[cell]]

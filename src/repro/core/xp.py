@@ -1,6 +1,6 @@
 """Array-namespace seam: numpy by default, CuPy / torch by registry name.
 
-The batched kernels (``Mechanism._perturb_batch`` / ``_pdf_batch``, the
+The batched kernels (``Mechanism._perturb_from_uniforms`` / ``_pdf_batch``, the
 adversary GEMMs) are written against an *array namespace* ``xp`` instead of
 a hard-coded ``numpy`` import.  An :class:`ArrayBackend` bundles that
 namespace with the two transfer functions the host boundary needs

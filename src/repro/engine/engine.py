@@ -175,6 +175,24 @@ class PrivacyEngine:
         """
         return self.mechanism.release_batch(cells, rng=rng, workspace=workspace)
 
+    def release_streams(
+        self,
+        cells,
+        seeds,
+        bounds,
+        workspace: RoundWorkspace | None = None,
+    ) -> ReleaseBatch:
+        """Release many keys' blocks of ``cells``, each from its own stream.
+
+        Key ``i`` draws ``cells[bounds[i]:bounds[i + 1]]`` from
+        ``np.random.default_rng(seeds[i])`` — element-wise equal to one
+        :meth:`release_batch` per key on that generator — through one bulk
+        kernel per tile of keys (see
+        :meth:`~repro.core.mechanisms.Mechanism.release_streams`).  The
+        returned columns are fresh arrays.
+        """
+        return self.mechanism.release_streams(cells, seeds, bounds, workspace=workspace)
+
     def pdf_matrix(
         self, points, cells: Sequence[int] | None = None, dtype=None
     ) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Population sharding: plans, columnar shard tasks, the per-key draw loop.
+"""Population sharding: plans, columnar shard tasks, the per-shard bulk draw.
 
 A release *round* is one vectorized ``release_batch`` per timestep; this
 module scales *across users*.  A :class:`ShardPlan` splits
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from repro.core.mechanisms.base import ReleaseBatch
-from repro.core.workspace import RoundWorkspace
+from repro.core.workspace import FUSED_TILE_ROWS, RoundWorkspace
 from repro.engine.backends import ExecutionBackend, owned_backend
 from repro.engine.engine import EngineRef, resolve_release_source
 from repro.errors import DataError, ValidationError
@@ -302,37 +302,19 @@ def _shard_workspace(capacity: int) -> RoundWorkspace:
 def release_keys(source, seeds, bounds, cells: np.ndarray) -> ReleaseBatch:
     """Release every key's block of ``cells`` from the key's own stream.
 
-    Key ``i`` draws ``cells[bounds[i]:bounds[i + 1]]`` in one vectorized
-    ``source.release_batch`` call on ``np.random.default_rng(seeds[i])`` —
-    element-wise identical to the scalar per-release loop a
-    :class:`~repro.server.pipeline.Client` runs on that stream.  Keys with
-    an empty block draw nothing.  ``source`` is a live release source
-    (resolve refs first).  This is the one place a shard's keys are drawn.
-
-    Kernel temporaries live in the worker thread's reused
-    :class:`RoundWorkspace` and each key's views are copied straight into
-    the returned batch, so a long-lived worker allocates only the outputs.
+    Key ``i`` draws ``cells[bounds[i]:bounds[i + 1]]`` from
+    ``np.random.default_rng(seeds[i])`` — element-wise identical to the
+    scalar per-release loop a :class:`~repro.server.pipeline.Client` runs on
+    that stream.  Keys with an empty block draw nothing.  ``source`` is a
+    live release source (resolve refs first).  This is the one place a
+    shard's keys are drawn: one
+    :meth:`~repro.core.mechanisms.Mechanism.release_streams` bulk kernel,
+    whose tile scratch lives in the worker thread's reused
+    :class:`RoundWorkspace`, so a long-lived worker allocates only the
+    outputs.
     """
-    bounds = np.asarray(bounds)
-    n = len(cells)
-    workspace = _shard_workspace(int(np.diff(bounds).max(initial=0)))
-    points = np.empty((n, 2), dtype=float)
-    exact = np.empty(n, dtype=bool)
-    epsilons = np.empty(n, dtype=float)
-    mechanism = ""
-    edges = bounds.tolist()
-    for seed, first, last in zip(np.asarray(seeds).tolist(), edges[:-1], edges[1:]):
-        if last == first:
-            continue
-        batch = source.release_batch(
-            cells[first:last], rng=np.random.default_rng(seed), workspace=workspace
-        )
-        points[first:last] = batch.points
-        exact[first:last] = batch.exact
-        epsilons[first:last] = batch.epsilons
-        mechanism = batch.mechanism
-    return ReleaseBatch(
-        points=points, exact=exact, epsilons=epsilons, cells=cells, mechanism=mechanism
+    return source.release_streams(
+        cells, seeds, bounds, workspace=_shard_workspace(min(len(cells), FUSED_TILE_ROWS))
     )
 
 

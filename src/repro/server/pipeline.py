@@ -284,9 +284,9 @@ class Server:
         numpy.ndarray
             The snapped cell per row.  Snapping is vectorized; recorded
             trace rows and budget charges are identical to what per-row
-            scalar :meth:`ingest` calls would have produced.  A round that
-            would exceed a capped ledger raises
-            :class:`~repro.errors.BudgetError` before any row is written.
+            scalar :meth:`ingest` calls would have produced.  A round with
+            an invalid epsilon, or one that would exceed a capped ledger,
+            raises before any row is written.
         """
         if self._metrics is not None:
             raise DataError(
@@ -307,9 +307,8 @@ class Server:
                     f"snapped cells of shape {cells.shape} do not match "
                     f"batch of {len(batch)} releases"
                 )
-        if self.ledger.cap is not None:
-            # Refuse an over-budget round before anything is written.
-            self.ledger.check_many(users, batch.epsilons)
+        # Refuse an invalid or over-budget round before anything is written.
+        self.ledger.check_many(users, batch.epsilons)
         for user, cell, epsilon in zip(users, cells, batch.epsilons):
             self.released_db.record(int(user), time, int(cell))
             self.ledger.charge(int(user), time, float(epsilon), purpose=purpose)
@@ -361,12 +360,13 @@ class Server:
         SQLite transaction *before* any in-memory mutation.  A crash
         therefore never leaves the store ahead of or torn relative to what
         a resume can rebuild: either the shard is fully durable (and will
-        be replayed / skipped) or absent (and will be re-derived).  When the
-        ledger has a cap, the shard is first checked against it without
-        charging (:meth:`~repro.core.accounting.BudgetLedger.check_many`),
-        so an over-budget shard raises
-        :class:`~repro.errors.BudgetError` before the store, the trace, the
-        ledger or the live views change.
+        be replayed / skipped) or absent (and will be re-derived).  The
+        shard is first checked against the ledger without charging
+        (:meth:`~repro.core.accounting.BudgetLedger.check_many`), so a shard
+        with a NaN, infinite or negative epsilon raises
+        :class:`~repro.errors.ValidationError`, and one over a capped
+        ledger's budget raises :class:`~repro.errors.BudgetError`, before the
+        store, the trace, the ledger or the live views change.
 
         Commit order and determinism
         ----------------------------
@@ -410,9 +410,8 @@ class Server:
         true_cells = None if batch.cells is None else np.asarray(batch.cells, dtype=np.int64)
         order = np.lexsort((users, times))  # commit by (time, user)
         with self._ingest_lock:
-            if self.ledger.cap is not None:
-                # Refuse an over-budget shard before anything is written.
-                self.ledger.check_many(users[order], batch.epsilons[order])
+            # Refuse an invalid or over-budget shard before anything is written.
+            self.ledger.check_many(users[order], batch.epsilons[order])
             delta = None
             if self.store is not None:
                 delta = self.store.commit_shard(
@@ -474,7 +473,7 @@ class Server:
         killed-and-resumed run converges to the uninterrupted run's live
         values.
 
-        A capped ledger is checked before anything changes, as in
+        The ledger check runs before anything changes, as in
         :meth:`ingest_shard`.  Returns the number of rows replayed.
         """
         if self.store is None:
@@ -491,8 +490,7 @@ class Server:
             )
         else:
             users, times, cells, epsilons = self.store.shard_rows(low_user, high_user)
-        if self.ledger.cap is not None:
-            self.ledger.check_many(users, epsilons)
+        self.ledger.check_many(users, epsilons)
         if self._metrics is not None:
             truth = np.asarray(true_cells(users, times), dtype=np.int64)
             delta = ShardDelta.build(users, times, cells, truth)

@@ -90,6 +90,43 @@ class TestCap:
             assert len(checked) == 1
 
 
+class TestInvalidEpsilons:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), -0.5])
+    def test_charge_many_refuses_at_the_bad_row(self, bad):
+        ledger = BudgetLedger(cap=1.0)
+        with pytest.raises(ValidationError):
+            ledger.charge_many([2, 1, 2], [0, 0, 1], [0.25, bad, 0.5])
+        # Rows before the bad one stay charged, as in the scalar loop.
+        assert ledger.spent(2) == 0.25
+        assert 1 not in ledger.users()
+        assert len(ledger) == 1
+
+    def test_nan_cannot_disable_the_cap(self):
+        ledger = BudgetLedger(cap=1.0)
+        with pytest.raises(ValidationError):
+            ledger.charge_many([1], [0], [float("nan")])
+        ledger.charge_many([1], [1], [1.0])
+        for time in range(2, 6):
+            with pytest.raises(BudgetError):
+                ledger.charge_many([1], [time], [1.0])
+        assert ledger.spent(1) == 1.0
+
+    @pytest.mark.parametrize("cap", [None, 1.0])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_check_many_refuses_invalid_epsilons(self, cap, bad):
+        ledger = BudgetLedger(cap=cap)
+        with pytest.raises(ValidationError):
+            ledger.check_many([1, 2], [0.5, bad])
+        assert ledger.users() == frozenset()
+
+    def test_check_many_reports_the_earlier_of_cap_and_bad_row(self):
+        ledger = BudgetLedger(cap=1.0)
+        with pytest.raises(BudgetError):
+            ledger.check_many([1, 1, 1], [0.75, 0.5, float("nan")])
+        with pytest.raises(ValidationError):
+            ledger.check_many([1, 1, 1], [0.75, float("nan"), 0.5])
+
+
 class TestQueries:
     def test_window(self):
         ledger = BudgetLedger()

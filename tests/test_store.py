@@ -576,6 +576,23 @@ class TestBudgetBeforeCommit:
             assert self._state(server) == before
             assert server.ledger.spent(1) == 0.0
 
+    @pytest.mark.parametrize("cap", [2.0, None])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_invalid_epsilon_refused_before_any_write(self, world, cap, bad):
+        # A NaN would poison the user's total and disable the cap for good;
+        # the shard must be refused whole, capped ledger or not.
+        with TraceStore(":memory:") as store:
+            server = self._server(world, store)
+            server.ledger = BudgetLedger(cap=cap)
+            server.ingest_shard(*self._shard(world, 2, 2), shard=0)
+            before = self._state(server)
+            users, times, batch = self._shard(world, 1, 2)
+            batch.epsilons[1] = bad
+            with pytest.raises(ValidationError):
+                server.ingest_shard(users, times, batch, shard=1)
+            assert self._state(server) == before
+            assert 1 not in server.ledger.users()
+
     def test_resume_replay_refuses_before_any_write(self, world):
         with TraceStore(":memory:") as store:
             users, times, batch = self._shard(world, 1, 3)
