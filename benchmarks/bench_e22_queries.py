@@ -2,7 +2,7 @@
 
 PR 10 added ``repro.query``: windowed analytics (contact rate, flow
 matrices, top-k hot cells, per-user epsilon spend, trajectories) served
-from the accelerator summary tables the store maintains inside every
+from the accelerator summaries the store appends inside every
 shard-commit transaction (``repro.store.accelerator``), instead of a full
 pass over ``releases``.  This benchmark answers the two questions that
 decide whether the commit-time maintenance earns its keep:
@@ -156,7 +156,7 @@ def query_scaling_records(
 ) -> list[dict]:
     """Accelerator window bundle vs full-scan bundle per population size.
 
-    The full-scan side is what a reader without the summary tables pays per
+    The full-scan side is what a reader without the accelerator pays per
     question: one O(rows) pass over ``releases`` per answer.  The
     accelerator side reads the per-(window, cell) summaries — O(answer),
     independent of the stored population.  Both are checked bit-identical
@@ -254,7 +254,7 @@ def test_accelerated_queries_beat_full_scans_by_floor():
 def test_query_cost_does_not_scale_with_population():
     """Acceptance: O(answer) cost stays near-flat while the scans grow.
 
-    The summary tables saturate at (distinct cells x window rounds), so the
+    The folded summaries saturate at (distinct cells x window rounds), so the
     accelerator bundle's cost must stay within an order of magnitude across
     a 16x population spread, while the full scans provably grow.
     """

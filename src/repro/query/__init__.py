@@ -2,8 +2,8 @@
 
 :class:`~repro.query.api.QueryEngine` answers sliding/tumbling time-window
 aggregates — contact rate, flow matrices, top-k hot cells, per-user epsilon
-spend, trajectory range scans — from the accelerator summary tables the
-store maintains inside every shard-commit transaction
+spend, trajectory range scans — from the accelerator summaries the
+store appends inside every shard-commit transaction
 (:mod:`repro.store.accelerator`), never from a full pass over ``releases``.
 :mod:`repro.query.reference` holds the naive full-scan implementations every
 answer is bit-checked against.  See ``docs/queries.md``.

@@ -1,10 +1,14 @@
 """The windowed query API over :class:`~repro.store.TraceStore`.
 
 Every query here is answered from the accelerator layout
-(:mod:`repro.store.accelerator`) — per-round summary tables and the
-``releases`` covering indexes — in time proportional to the *answer*, never
-to the stored population.  Each is bit-identical to its naive full-scan
-counterpart in :mod:`repro.query.reference`:
+(:mod:`repro.store.accelerator`) — per-commit delta segments, per-user
+bounds and the ``releases`` covering indexes — in time proportional to the
+*answer*, never to the stored population.  The aggregates read an
+in-memory fold of the delta segments: each segment is decoded once, and
+every query first folds only the segments committed since the last one it
+saw, so a long-lived engine stays exact while a writer commits beside it.
+Each answer is bit-identical to its naive full-scan counterpart in
+:mod:`repro.query.reference`:
 
 * integer components (occupancy counts, flow counts, pair events) merge by
   addition, which no aggregation order can perturb;
@@ -27,15 +31,18 @@ marks and the run manifest.
 from __future__ import annotations
 
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Mapping
+
+import numpy as np
 
 from repro.core.accounting import BudgetLedger
 from repro.errors import DataError, SnapshotUnavailableError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.server.live_metrics import missing_shards
-from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE
+from repro.store.accelerator import KIND_OBSERVED, KIND_TRUE, delta_segments, merge_rows
 from repro.store.store import TraceStore, open_store
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -121,6 +128,61 @@ class WindowContactRate:
     observations: int
 
 
+class _SegmentFold:
+    """A store's delta segments folded per ``(kind, round)``, refreshed incrementally.
+
+    Table ``counts`` holds each round's merged ``(cell, n)`` head counts —
+    merged, because pair events ``n (n - 1) / 2`` do not add across
+    segments — and table ``flows`` each round's ``(src, dst, n)`` cell
+    flows, duplicates across segments kept (the area regroup sums them
+    anyway).  Every read first folds only the segments with ids above the
+    largest one already folded; segment ids ascend in commit order, so the
+    fold always equals the merge of a commit prefix.  Partitioning by round
+    bounds a refresh's temporary copies by one round's rows and lets a window
+    read only the rounds it spans.
+    """
+
+    #: Columns per round of each table.
+    WIDTHS = {"counts": 2, "flows": 3}
+
+    def __init__(self) -> None:
+        self.last_id = 0
+        self.tables: dict[str, dict[int, dict[int, np.ndarray]]] = {
+            name: {kind: {} for kind in _KINDS.values()} for name in self.WIDTHS
+        }
+        self._lock = threading.Lock()
+
+    def rows(self, connection, name: str, kind: int, window: "Window") -> np.ndarray:
+        """Table ``name``'s ``kind`` rows over the rounds in ``window``."""
+        with self._lock:
+            self._refresh(connection)
+            parts = [rows for time, rows in self.tables[name][kind].items() if time in window]
+        if not parts:
+            return np.empty((0, self.WIDTHS[name]), dtype=np.int64)
+        return np.concatenate(parts)
+
+    def _refresh(self, connection) -> None:
+        segments = delta_segments(connection, after=self.last_id)
+        if not segments:
+            return
+        for name, rows in (
+            ("counts", np.concatenate([segment.cell_counts for segment in segments])),
+            ("flows", np.concatenate([segment.flows for segment in segments])),
+        ):
+            # Group the new (kind, time, ...) rows by (kind, time), then
+            # fold each group into that round's held rows.
+            rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+            starts = np.flatnonzero((rows[1:, :2] != rows[:-1, :2]).any(axis=1)) + 1
+            for part in np.split(rows, starts):
+                if not len(part):
+                    continue
+                by_round, time = self.tables[name][int(part[0, 0])], int(part[0, 1])
+                held = by_round.get(time)
+                part = part[:, 2:] if held is None else np.concatenate((held, part[:, 2:]))
+                by_round[time] = merge_rows(part) if name == "counts" else part
+        self.last_id = segments[-1].id
+
+
 class QueryEngine:
     """Windowed analytics over one trace store, accelerator-served.
 
@@ -167,6 +229,7 @@ class QueryEngine:
         )
         self.p_transmit = float(p_transmit)
         self.gamma = float(gamma)
+        self._fold = _SegmentFold()
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -244,21 +307,18 @@ class QueryEngine:
     def contact_rate(self, window: Window, kind: str = "observed") -> WindowContactRate:
         """E2 contact rate / R0 over one window, from per-round occupancy.
 
-        One primary-key range read of ``round_cell_counts`` — O(distinct
+        A slice of the folded ``(time, cell)`` head counts — O(distinct
         ``(time, cell)`` pairs in the window), independent of the stored
         population.  Raises :class:`~repro.errors.DataError` for a window
         with no observations (both sides of the bit-check agree on that).
         """
         code = self._kind(kind)
         self._check_coverage(window.end)
-        rows = self.store.connection.execute(
-            "SELECT n FROM round_cell_counts WHERE kind = ? AND time BETWEEN ? AND ?",
-            (code, window.start, window.end),
-        ).fetchall()
-        observations = sum(count for (count,) in rows)
+        _, counts = self._fold.rows(self.store.connection, "counts", code, window).T
+        observations = int(counts.sum())
         if observations == 0:
             raise DataError("window contains no observations")
-        pairs = sum(count * (count - 1) // 2 for (count,) in rows)
+        pairs = int((counts * (counts - 1) // 2).sum())
         rate = 2.0 * pairs / observations
         return WindowContactRate(
             window=window,
@@ -278,56 +338,54 @@ class QueryEngine:
     ) -> Counter:
         """Inter-area flow counts whose destination round lies in the window.
 
-        Served from the cell-level ``round_flows`` table: a primary-key
-        range read, then an integer regroup of cell pairs into the
-        requested area tiling — any ``(block_rows, block_cols)`` is exact,
-        because the cell-level counts are the finest grain.
+        Served from the folded cell-level flows: a slice by destination
+        round, then an integer regroup of cell pairs into the requested
+        area tiling — any ``(block_rows, block_cols)`` is exact, because the
+        cell-level counts are the finest grain.
         """
         code = self._kind(kind)
         self._check_coverage(window.end)
-        # Regrouping cells into areas inside SQLite keeps the Python side at
-        # O(area pairs): the expressions below are the same integer
-        # arithmetic as GridWorld.area_of — (cell//width//block_rows) *
-        # ceil(width/block_cols) + (cell%width)//block_cols — on
-        # non-negative ints, so the Counter equals the full scan bitwise
-        # without materialising one Python tuple per cell pair.
         world = self.world
-        world.n_areas(block_rows, block_cols)  # validates the tiling args
-        blocks_per_row = -(-world.width // int(block_cols))
-        area_of = (
-            "({cell} / {width} / {rows}) * {per_row} + ({cell} % {width}) / {cols}"
+        n_areas = world.n_areas(block_rows, block_cols)  # validates the tiling args
+        src, dst, counts = self._fold.rows(self.store.connection, "flows", code, window).T
+        if not len(counts):
+            return Counter()
+        # GridWorld.area_of_batch is the integer map the full scan's
+        # LocationMonitor applies; bincount sums integer weights exactly
+        # (far below 2**53), so the Counter equals the full scan bitwise.
+        codes = (
+            world.area_of_batch(src, block_rows, block_cols) * n_areas
+            + world.area_of_batch(dst, block_rows, block_cols)
         )
-        src_area = area_of.format(
-            cell="src", width=world.width, rows=int(block_rows),
-            per_row=blocks_per_row, cols=int(block_cols),
+        totals = np.bincount(codes, weights=counts)
+        pairs = np.flatnonzero(totals)
+        src_areas, dst_areas = np.divmod(pairs, n_areas)
+        return Counter(
+            dict(
+                zip(
+                    zip(src_areas.tolist(), dst_areas.tolist()),
+                    totals[pairs].astype(np.int64).tolist(),
+                )
+            )
         )
-        dst_area = src_area.replace("src", "dst")
-        rows = self.store.connection.execute(
-            f"SELECT {src_area}, {dst_area}, SUM(n) FROM round_flows "
-            "WHERE kind = ? AND time BETWEEN ? AND ? GROUP BY 1, 2",
-            (code, window.start, window.end),
-        ).fetchall()
-        return Counter({(int(src), int(dst)): int(count) for src, dst, count in rows})
 
     def top_cells(self, window: Window, k: int, kind: str = "observed") -> list[tuple[int, int]]:
         """The ``k`` busiest cells over the window as ``(cell, count)`` pairs.
 
-        Occupancy is summed per cell from ``round_cell_counts`` (one
-        primary-key range read + GROUP BY); ties break deterministically on
-        the lower cell id, so accelerator and full-scan rankings agree
-        exactly, not just up to tie shuffling.
+        Occupancy is summed per cell over a slice of the folded head
+        counts; ties break deterministically on the lower cell id, so
+        accelerator and full-scan rankings agree exactly, not just up to
+        tie shuffling.
         """
         if int(k) < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         code = self._kind(kind)
         self._check_coverage(window.end)
-        rows = self.store.connection.execute(
-            "SELECT cell, SUM(n) FROM round_cell_counts "
-            "WHERE kind = ? AND time BETWEEN ? AND ? GROUP BY cell",
-            (code, window.start, window.end),
-        ).fetchall()
-        ranked = sorted(rows, key=lambda row: (-row[1], row[0]))
-        return [(int(cell), int(count)) for cell, count in ranked[: int(k)]]
+        cells, counts = self._fold.rows(self.store.connection, "counts", code, window).T
+        totals = np.bincount(cells, weights=counts).astype(np.int64)
+        busy = np.flatnonzero(totals)
+        ranked = busy[np.lexsort((busy, -totals[busy]))][: int(k)]
+        return list(zip(ranked.tolist(), totals[ranked].tolist()))
 
     def epsilon_spent(self, user: int, window: Window) -> float:
         """One user's epsilon expenditure over the window, ledger-exact.

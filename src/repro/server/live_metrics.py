@@ -36,7 +36,7 @@ kill-and-resume.  Three properties make this hold:
 * deltas are pure functions of a shard's rows: the per-row terms are taken
   after a ``(time, user)`` lexsort, and the occupancy and transition counts
   come from the commit's :class:`~repro.store.accelerator.ShardDelta` (the
-  same increments the store upserts), so arrival layout (user-major from a
+  same increments the store appends as a segment), so arrival layout (user-major from a
   live worker, time-major from a store replay) cannot leak into the value;
 * all folding happens in one canonical order — rounds ascending, shards
   ascending within a round, users ascending within a shard — regardless of

@@ -1,30 +1,31 @@
-"""Accelerator schema for the trace store: commit-time summary maintenance.
+"""Accelerator schema for the trace store: one delta segment per shard commit.
 
 The query surface (:mod:`repro.query`) answers windowed analytics — contact
 rates, flow matrices, top-k hot cells — without a full pass over
-``releases``.  What makes that possible is this module: a small set of
-per-round summary tables (the LSST-style accelerator layout) whose rows are
-maintained *inside the same SQLite transaction* as the shard's release rows
-and ``(shard, round)`` commit marks.  Because the deltas travel in the
-shard's own transaction, the summaries can never be torn relative to
-``shard_commits``: a crash either keeps the whole shard (rows, marks, and
-summary increments) or none of it.
+``releases``.  What makes that possible is this module: every shard commit
+appends its summary increments as one immutable *delta segment* (the
+chunked, bulk-appended LSST layout), written *inside the same SQLite
+transaction* as the shard's release rows and ``(shard, round)`` commit
+marks.  Because the segment travels in the shard's own transaction, the
+summaries can never be torn relative to ``shard_commits``: a crash either
+keeps the whole shard (rows, marks, and segment) or none of it.
 
 Tables (created by :func:`repro.store.schema.create_schema`):
 
-``round_cell_counts``
-    ``(kind, time, cell) -> n``: per-round occupancy.  ``kind`` 0 summarises
-    the stored ``cell`` column (the server-side snapped view on the pipeline
-    path); ``kind`` 1 the ground-truth cells a commit supplied via
-    ``true_cells=`` — the store still never persists *per-row* ground truth,
-    only these aggregate head counts, which is exactly what the monitoring
-    estimators consume.
-``round_flows``
-    ``(kind, time, src, dst) -> n``: cell-to-cell transition counts, each
+``shard_deltas``
+    ``id -> (shard, cell_counts, flows)``: one row per commit, ids
+    ascending in commit order.  ``cell_counts`` holds the commit's
+    ``(kind, time, cell, n)`` per-round occupancy and ``flows`` its
+    ``(kind, time, src, dst, n)`` cell-to-cell transition counts, each
     ``(t-1, t)`` step assigned to its *destination* round ``t`` (the live
-    metrics convention, so cumulative prefixes line up).  Area-level flow
-    matrices are derived at query time by mapping cells to areas, which is
-    an integer regrouping — any tiling is served exactly from one table.
+    metrics convention, so cumulative prefixes line up).  ``kind`` 0
+    summarises the stored ``cell`` column (the server-side snapped view on
+    the pipeline path); ``kind`` 1 the ground-truth cells a commit supplied
+    via ``true_cells=`` — the store still never persists *per-row* ground
+    truth, only these aggregate head counts, which is exactly what the
+    monitoring estimators consume.  Area-level flow matrices are derived at
+    query time by mapping cells to areas, an integer regrouping, so any
+    tiling is served exactly from the cell-level counts.
 ``user_summary``
     ``user -> (n_rows, min_time, max_time)``: per-user bounds, serving
     :meth:`TraceStore.users <repro.store.store.TraceStore.users>` and
@@ -32,19 +33,28 @@ Tables (created by :func:`repro.store.schema.create_schema`):
     per user: a commit carries each of its users' whole trace, and the
     primary key refuses a commit that would extend a stored user.
 
+Segment encoding (:func:`encode_rows` / :func:`decode_rows`): each column
+of an ``(n, width)`` int64 table is stored at its narrowest lossless
+integer dtype, the dtypes recorded in a small header, and the whole blob
+is zlib-compressed at level 1.  Rounds, cells and per-commit counts fit in
+one or two bytes, so a segment costs a few bytes per release instead of
+the ~2 indexed rows per release a row-per-count table paid.
+
 Each commit's increments are built once, as a :class:`ShardDelta`, from the
-committed rows alone; the store upserts it and the live metric views fold
-the same object.  Counts merge by integer addition (``ON CONFLICT ... DO
-UPDATE SET n = n + excluded.n``), so the summary state is independent of
-shard count, backend, commit arrival order, and kill-resume —
-the same argument that makes the live metric views bit-identical across
-those axes.
+committed rows alone; the store appends it as a segment and the live metric
+views fold the same object.  Readers merge segments by integer addition
+(:func:`merge_rows`), so the summary state is independent of shard count,
+backend, commit arrival order, and kill-resume — the same argument that
+makes the live metric views bit-identical across those axes.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import struct
+import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,10 +62,15 @@ __all__ = [
     "ACCELERATOR_TABLES",
     "KIND_OBSERVED",
     "KIND_TRUE",
+    "DeltaSegment",
     "ShardDelta",
     "apply_deltas",
     "cell_count_rows",
+    "decode_rows",
+    "delta_segments",
+    "encode_rows",
     "flow_rows",
+    "merge_rows",
     "user_summary_rows",
 ]
 
@@ -65,23 +80,12 @@ KIND_TRUE = 1
 
 ACCELERATOR_TABLES = (
     """
-    CREATE TABLE IF NOT EXISTS round_cell_counts (
-        kind INTEGER NOT NULL,
-        time INTEGER NOT NULL,
-        cell INTEGER NOT NULL,
-        n    INTEGER NOT NULL,
-        PRIMARY KEY (kind, time, cell)
-    ) WITHOUT ROWID
-    """,
-    """
-    CREATE TABLE IF NOT EXISTS round_flows (
-        kind INTEGER NOT NULL,
-        time INTEGER NOT NULL,
-        src  INTEGER NOT NULL,
-        dst  INTEGER NOT NULL,
-        n    INTEGER NOT NULL,
-        PRIMARY KEY (kind, time, src, dst)
-    ) WITHOUT ROWID
+    CREATE TABLE IF NOT EXISTS shard_deltas (
+        id          INTEGER PRIMARY KEY,
+        shard       INTEGER NOT NULL,
+        cell_counts BLOB    NOT NULL,
+        flows       BLOB    NOT NULL
+    )
     """,
     """
     CREATE TABLE IF NOT EXISTS user_summary (
@@ -94,17 +98,70 @@ ACCELERATOR_TABLES = (
     """,
 )
 
-_UPSERT_CELL_COUNTS = (
-    "INSERT INTO round_cell_counts (kind, time, cell, n) VALUES (?, ?, ?, ?) "
-    "ON CONFLICT(kind, time, cell) DO UPDATE SET n = n + excluded.n"
-)
-_UPSERT_FLOWS = (
-    "INSERT INTO round_flows (kind, time, src, dst, n) VALUES (?, ?, ?, ?, ?) "
-    "ON CONFLICT(kind, time, src, dst) DO UPDATE SET n = n + excluded.n"
-)
+_INSERT_SEGMENT = "INSERT INTO shard_deltas (shard, cell_counts, flows) VALUES (?, ?, ?)"
 _INSERT_USER_SUMMARY = (
     "INSERT INTO user_summary (user, n_rows, min_time, max_time) VALUES (?, ?, ?, ?)"
 )
+
+#: Column dtypes a segment may use, narrowest first within each signedness;
+#: the header records each column's index into this tuple.
+_COLUMN_DTYPES = tuple(
+    np.dtype(name) for name in ("<u1", "<u2", "<u4", "<u8", "<i1", "<i2", "<i4", "<i8")
+)
+#: Segment header: row count and column count, then one dtype byte per column.
+_HEADER = struct.Struct("<QB")
+
+
+def _narrowest(column: np.ndarray) -> int:
+    """Index in ``_COLUMN_DTYPES`` of the narrowest dtype holding ``column`` exactly."""
+    if len(column) == 0:
+        return 0
+    low, high = int(column.min()), int(column.max())
+    return next(
+        code
+        for code, dtype in enumerate(_COLUMN_DTYPES)
+        if np.iinfo(dtype).min <= low and high <= np.iinfo(dtype).max
+    )
+
+
+def encode_rows(rows: np.ndarray) -> bytes:
+    """One ``(n, width)`` integer table as a compact, lossless segment blob."""
+    rows = np.asarray(rows, dtype=np.int64)
+    n, width = rows.shape
+    codes = [_narrowest(rows[:, j]) for j in range(width)]
+    parts = [_HEADER.pack(n, width), bytes(codes)]
+    parts += [rows[:, j].astype(_COLUMN_DTYPES[code]).tobytes() for j, code in enumerate(codes)]
+    return zlib.compress(b"".join(parts), 1)
+
+
+def decode_rows(blob: bytes) -> np.ndarray:
+    """The ``(n, width)`` int64 table :func:`encode_rows` stored in ``blob``."""
+    raw = zlib.decompress(blob)
+    n, width = _HEADER.unpack_from(raw)
+    offset = _HEADER.size + width
+    rows = np.empty((n, width), dtype=np.int64)
+    for j, code in enumerate(raw[_HEADER.size : offset]):
+        dtype = _COLUMN_DTYPES[code]
+        rows[:, j] = np.frombuffer(raw, dtype=dtype, count=n, offset=offset)
+        offset += n * dtype.itemsize
+    return rows
+
+
+def merge_rows(rows: np.ndarray) -> np.ndarray:
+    """Sum the count (last) column over rows with equal keys (every other column).
+
+    Returns one row per distinct key, sorted by key — the layout
+    :func:`cell_count_rows` and :func:`flow_rows` emit, so the merge of a
+    store's segments compares directly against one build over all its rows.
+    """
+    if len(rows) == 0:
+        return rows
+    rows = rows[np.lexsort(rows[:, -2::-1].T)]
+    keys = rows[:, :-1]
+    starts = np.flatnonzero(np.concatenate(([True], (keys[1:] != keys[:-1]).any(axis=1))))
+    merged = rows[starts]
+    merged[:, -1] = np.add.reduceat(rows[:, -1], starts)
+    return merged
 
 
 def cell_count_rows(kind: int, times: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -173,9 +230,9 @@ class ShardDelta:
     """One shard commit's summary increments, built once per commit.
 
     Both analytical consumers of a commit read this one object: the store
-    upserts it into the accelerator tables (:func:`apply_deltas`) and the
-    live metric views (:mod:`repro.server.live_metrics`) fold it in memory.
-    Each field is an int64 array with one row per table row:
+    appends it as one delta segment (:func:`apply_deltas`) and the live
+    metric views (:mod:`repro.server.live_metrics`) fold it in memory.
+    Each field is an ``(n, width)`` int64 table:
 
     ``cell_counts``
         ``(kind, time, cell, n)`` — :func:`cell_count_rows` per kind.
@@ -218,13 +275,37 @@ def apply_deltas(
     cell_counts: np.ndarray,
     flows: np.ndarray,
     summaries: np.ndarray,
+    shard: int,
 ) -> None:
-    """Apply one commit's summary increments (caller owns the transaction).
+    """Append one commit's summary increments (caller owns the transaction).
 
-    ``user_summary`` rows are plain inserts: a user already stored makes
+    ``cell_counts`` and ``flows`` become one ``shard_deltas`` segment;
+    ``user_summary`` rows are plain inserts, so a user already stored makes
     the primary key refuse the commit (``sqlite3.IntegrityError``), which
     rolls back the caller's transaction.
     """
-    connection.executemany(_UPSERT_CELL_COUNTS, cell_counts.tolist())
-    connection.executemany(_UPSERT_FLOWS, flows.tolist())
     connection.executemany(_INSERT_USER_SUMMARY, summaries.tolist())
+    connection.execute(
+        _INSERT_SEGMENT, (int(shard), encode_rows(cell_counts), encode_rows(flows))
+    )
+
+
+class DeltaSegment(NamedTuple):
+    """One decoded ``shard_deltas`` row."""
+
+    id: int
+    shard: int
+    cell_counts: np.ndarray
+    flows: np.ndarray
+
+
+def delta_segments(connection: sqlite3.Connection, after: int = 0) -> list[DeltaSegment]:
+    """Every segment with ``id > after``, decoded, in commit order."""
+    rows = connection.execute(
+        "SELECT id, shard, cell_counts, flows FROM shard_deltas WHERE id > ? ORDER BY id",
+        (int(after),),
+    ).fetchall()
+    return [
+        DeltaSegment(int(id_), int(shard), decode_rows(counts), decode_rows(flows))
+        for id_, shard, counts, flows in rows
+    ]

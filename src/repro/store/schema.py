@@ -26,11 +26,14 @@ per-partition recovery-state table):
 ``local_windows``
     Spill space for out-of-core :class:`~repro.server.localdb.LocalLocationDB`
     instances (client-side rolling windows), keyed ``(user, time)``.
-``round_cell_counts`` / ``round_flows`` / ``user_summary``
-    The query accelerator (schema v2): per-round occupancy, per-round
-    cell-transition counts, and per-user bounds, maintained inside every
-    shard-commit transaction so windowed analytics never pay a full-table
-    pass — see :mod:`repro.store.accelerator` for the layout and the
+``shard_deltas`` / ``user_summary``
+    The query accelerator (schema v3): one immutable delta segment per
+    shard commit — that commit's per-round occupancy and cell-transition
+    counts, each packed into a narrow-dtype, zlib-compressed BLOB — plus
+    per-user bounds, all written inside the shard-commit transaction so
+    windowed analytics never pay a full-table pass.  Readers decode the
+    segments once and fold later ones incrementally — see
+    :mod:`repro.store.accelerator` for the encoding and the
     merge-by-integer-addition argument.
 
 Pragma rationale (the Paper-Scanner recipe, see ``docs/persistence.md``):
@@ -61,9 +64,10 @@ __all__ = ["SCHEMA_VERSION", "BUSY_TIMEOUT_MS", "apply_pragmas", "create_schema"
 
 #: Bumped whenever the table layout changes; stores recorded under a
 #: different version refuse to open rather than guess at a migration.
-#: v2 added the query-accelerator tables (round_cell_counts, round_flows,
-#: user_summary) maintained inside every shard-commit transaction.
-SCHEMA_VERSION = 2
+#: v2 added the query-accelerator tables maintained inside every
+#: shard-commit transaction; v3 replaced v2's per-count row tables
+#: (round_cell_counts, round_flows) with one shard_deltas segment per commit.
+SCHEMA_VERSION = 3
 
 #: Default lock-retry window (milliseconds) for every connection.
 BUSY_TIMEOUT_MS = 30_000

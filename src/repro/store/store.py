@@ -73,25 +73,34 @@ class TraceStore:
         except sqlite3.Error as exc:
             raise StoreError(f"cannot open trace store {self.path!r}: {exc}") from exc
         apply_pragmas(self.connection, busy_timeout_ms)
+        recorded = self._recorded_schema_version()
         create_schema(self.connection)
-        self._check_schema_version()
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def _check_schema_version(self) -> None:
-        recorded = self._meta().get("schema_version")
         if recorded is None:
             with self.connection:
                 self.connection.execute(
                     "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
                     ("schema_version", str(SCHEMA_VERSION)),
                 )
-        elif int(recorded) != SCHEMA_VERSION:
+
+    # ------------------------------------------------------------------
+    # Lifecycle
+    # ------------------------------------------------------------------
+    def _recorded_schema_version(self) -> str | None:
+        """The file's recorded schema version (None when fresh); refuses others.
+
+        Read before :func:`create_schema`, so a store of another version is
+        refused without gaining this version's tables.
+        """
+        try:
+            recorded = self._meta().get("schema_version")
+        except sqlite3.OperationalError:  # a fresh file has no meta table yet
+            return None
+        if recorded is not None and int(recorded) != SCHEMA_VERSION:
             raise StoreError(
                 f"trace store {self.path!r} uses schema v{recorded}, this "
                 f"build expects v{SCHEMA_VERSION}; migrate or use a new path"
             )
+        return recorded
 
     @property
     def connection(self) -> sqlite3.Connection:
@@ -209,14 +218,14 @@ class TraceStore:
             metric views fold, so each commit aggregates its rows once.
 
         The release rows, one ``(shard, round)`` mark per distinct
-        timestep, *and* the accelerator summary increments
+        timestep, *and* the commit's delta segment plus per-user bounds
         (:mod:`repro.store.accelerator`) are written in the same
         transaction — either the whole shard becomes durable or none of it
         does, and the summaries can never be torn relative to the marks.
 
         Re-committing a shard whose ``(shard, round)`` marks are all
-        already durable is an idempotent no-op (the summaries merge by
-        addition, so replaying the rows would double-count them); a commit
+        already durable is an idempotent no-op (readers merge segments by
+        addition, so a second segment would double-count the rows); a commit
         overlapping only *some* of its marks is a :class:`StoreError`, and
         so is a commit that extends a user already stored (a piecewise
         commit): the ``user_summary`` primary key refuses it inside the
@@ -273,7 +282,7 @@ class TraceStore:
                     marks,
                 )
                 accelerator.apply_deltas(
-                    self.connection, delta.cell_counts, delta.flows, delta.summaries
+                    self.connection, delta.cell_counts, delta.flows, delta.summaries, shard
                 )
                 if maintains_true is None:
                     self.connection.execute(
@@ -291,6 +300,60 @@ class TraceStore:
                 f"commit of shard {shard} ({len(users)} rows) failed: {exc}"
             ) from exc
         return delta
+
+    def verify(self) -> None:
+        """Check that the accelerator agrees with the rows it summarises.
+
+        Three invariants, each a full pass (a check for tests and audits,
+        not for the commit path):
+
+        * the observed side of every delta segment, merged, equals
+          :meth:`ShardDelta.build <repro.store.accelerator.ShardDelta.build>`
+          over a full scan of ``releases`` (occupancy and flows);
+        * ``user_summary`` equals that build's per-user bounds;
+        * every ``shard_commits.n_rows`` equals the observed head count
+          its shard's segments hold at that round.
+
+        Raises :class:`~repro.errors.StoreError` naming every broken one.
+        """
+        rows = self.connection.execute("SELECT user, time, cell FROM releases").fetchall()
+        columns = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        want = accelerator.ShardDelta.build(columns[:, 0], columns[:, 1], columns[:, 2])
+        segments = accelerator.delta_segments(self.connection)
+        counts = [s.cell_counts[s.cell_counts[:, 0] == accelerator.KIND_OBSERVED] for s in segments]
+        flows = [s.flows[s.flows[:, 0] == accelerator.KIND_OBSERVED] for s in segments]
+        summaries = self.connection.execute(
+            "SELECT user, n_rows, min_time, max_time FROM user_summary ORDER BY user"
+        ).fetchall()
+        held: dict[tuple[int, int], int] = {}
+        for segment, observed in zip(segments, counts):
+            for time, n in zip(observed[:, 1].tolist(), observed[:, 3].tolist()):
+                held[(segment.shard, time)] = held.get((segment.shard, time), 0) + n
+        marks = dict(
+            ((int(shard), int(time)), int(n_rows))
+            for shard, time, n_rows in self.connection.execute(
+                "SELECT shard, round, n_rows FROM shard_commits"
+            )
+        )
+        checks = {
+            "observed occupancy segments": np.array_equal(
+                accelerator.merge_rows(np.concatenate([want.cell_counts[:0], *counts])),
+                want.cell_counts,
+            ),
+            "observed flow segments": np.array_equal(
+                accelerator.merge_rows(np.concatenate([want.flows[:0], *flows])), want.flows
+            ),
+            "user_summary": np.array_equal(
+                np.asarray(summaries, dtype=np.int64).reshape(-1, 4), want.summaries
+            ),
+            "shard_commits.n_rows": marks == held,
+        }
+        problems = [name for name, ok in checks.items() if not ok]
+        if problems:
+            raise StoreError(
+                f"trace store {self.path!r} fails verification: "
+                f"{', '.join(problems)} disagree with the rows they summarise"
+            )
 
     def maintains_true_summaries(self) -> "bool | None":
         """Whether commits maintain true-side summaries (None before any)."""

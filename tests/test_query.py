@@ -1,7 +1,7 @@
 """The windowed query surface: accelerator answers equal full scans, bitwise.
 
 The headline contract of ``repro.query`` mirrors the live-metrics one: every
-windowed answer served from the accelerator summary tables equals its naive
+windowed answer served from the accelerator summaries equals its naive
 ``full_scan_*`` reference **bitwise**, under every execution shape.  This
 file pins that matrix (shards {1, 2, 5, 7} x serial/thread/process/pool/rpc
 x kill-resume), the coverage-frontier
@@ -11,6 +11,11 @@ Hypothesis property: under *any* interleaving of shard commits and window
 queries, each query either refuses or returns the exact full-scan answer
 for the committed prefix.
 """
+
+import sys
+import tempfile
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +173,7 @@ class TestDeterminismMatrix:
         with store:
             assert _fingerprint(store, world) == canonical
             _assert_matches_full_scan(store, world, resolver)
+            store.verify()
 
     @pytest.mark.parametrize("committer", COMMITTERS)
     def test_every_committer_answers_identically(
@@ -178,7 +184,7 @@ class TestDeterminismMatrix:
             assert _fingerprint(store, world) == canonical
             _assert_matches_full_scan(store, world, resolver)
             # Both consumers of the per-commit delta agree: the accelerator
-            # tables the SQL side upserted and the live views it folded.
+            # segments the store appended and the live views it folded.
             rounds = server.metrics.rounds
             live = server.metrics_at(rounds[-1])
             engine_q = QueryEngine(store, world=world)
@@ -192,6 +198,7 @@ class TestDeterminismMatrix:
                     rate, live["contacts"].n_observations
                 )
                 assert engine_q.flow_matrix(full, kind, 4, 4) == flows
+            store.verify()
 
     def test_epsilon_spend_equals_the_live_ledger(self, world, db, engine):
         # The query folds stored rows through the same BudgetLedger
@@ -455,6 +462,122 @@ class TestInterleavingProperty:
                         ref.full_scan_contact_rate(store, window)
                 else:
                     assert got == ref.full_scan_contact_rate(store, window)
+
+
+class TestLongLivedEngine:
+    """One engine, created before the first commit, stays exact across commits.
+
+    The aggregates read a fold of the delta segments that each query
+    refreshes incrementally; a fold that missed a commit would still pass
+    every test that builds its engine after the writes.
+    """
+
+    PROBES = [Window(0, 1), Window(0, 3), Window(2, 5), Window(4, HORIZON - 1), FULL]
+
+    @staticmethod
+    def _probe(engine_q, store, world):
+        """Every probe answers exactly as the full scan of the current prefix, or refuses."""
+        for window in TestLongLivedEngine.PROBES:
+            if engine_q.missing_shards(window.end):
+                with pytest.raises(SnapshotUnavailableError):
+                    engine_q.top_cells(window, 4)
+                continue
+            assert engine_q.top_cells(window, 4) == ref.full_scan_top_cells(store, window, 4)
+            assert engine_q.flow_matrix(window) == ref.full_scan_flow_matrix(
+                store, window, world
+            )
+            assert engine_q.flow_matrix(window, block_rows=2, block_cols=3) == (
+                ref.full_scan_flow_matrix(store, window, world, block_rows=2, block_cols=3)
+            )
+            try:
+                got = engine_q.contact_rate(window)
+            except DataError:
+                with pytest.raises(DataError):
+                    ref.full_scan_contact_rate(store, window)
+            else:
+                assert got == ref.full_scan_contact_rate(store, window)
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_writer_connection_engine_survives_commits(self, staggered, data):
+        world, sdb, _, plan, parts = staggered
+        order = data.draw(st.permutations(sorted(parts)))
+        with TraceStore(":memory:") as store:
+            engine_q = QueryEngine(store, world=world, expected=expected_coverage(plan, sdb))
+            self._probe(engine_q, store, world)
+            for shard in order:
+                _commit(world, store, plan, parts, [shard])
+                self._probe(engine_q, store, world)
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_second_connection_engine_survives_commits(self, staggered, data):
+        # A reader on its own connection to a WAL file sees each commit as
+        # a new segment id, exactly as a monitor beside a live run does.
+        world, sdb, _, plan, parts = staggered
+        order = data.draw(st.permutations(sorted(parts)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "live.sqlite"
+            with TraceStore(path) as store, QueryEngine(
+                path, world=world, expected=expected_coverage(plan, sdb)
+            ) as engine_q:
+                assert engine_q.store is not store
+                self._probe(engine_q, engine_q.store, world)
+                for shard in order:
+                    _commit(world, store, plan, parts, [shard])
+                    self._probe(engine_q, engine_q.store, world)
+                store.verify()
+
+
+    def test_threads_sharing_one_engine_fold_each_segment_once(self, staggered):
+        # Readers on several threads race to fold each new segment; a
+        # segment folded twice (or lost) would break the final full-scan
+        # equality.  A tiny switch interval forces interleavings.
+        world, sdb, _, plan, parts = staggered
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "shared.sqlite"
+                with TraceStore(path) as store, QueryEngine(
+                    path, world=world, expected=expected_coverage(plan, sdb)
+                ) as engine_q:
+                    done = threading.Event()
+                    errors = []
+
+                    def reader():
+                        while not done.is_set():
+                            try:
+                                engine_q.contact_rate(Window(0, 1))
+                            except SnapshotUnavailableError:
+                                pass
+                            except Exception as exc:  # reported below
+                                errors.append(exc)
+                                return
+
+                    threads = [threading.Thread(target=reader) for _ in range(4)]
+                    for thread in threads:
+                        thread.start()
+                    try:
+                        for shard in sorted(parts):
+                            _commit(world, store, plan, parts, [shard])
+                    finally:
+                        done.set()
+                        for thread in threads:
+                            thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert errors == []
+                    self._probe(engine_q, engine_q.store, world)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 # ----------------------------------------------------------------------

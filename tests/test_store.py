@@ -11,6 +11,9 @@ import sqlite3
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.accounting import BudgetLedger
 from repro.engine import PrivacyEngine
@@ -24,6 +27,7 @@ from repro.server.live_metrics import default_views
 from repro.server.localdb import LocalLocationDB
 from repro.server.pipeline import Server, run_release_rounds_batched
 from repro.store import RunManifest, StoredTraceDB, TraceStore, engine_spec_hash
+from repro.store import accelerator
 from repro.store.resume import RunManifest as ResumeManifest
 
 
@@ -78,6 +82,27 @@ class TestSchemaAndPragmas:
                 )
         with pytest.raises(StoreError, match="schema v999"):
             TraceStore(path)
+
+    def test_schema_v2_store_refuses_open_untouched(self, tmp_path):
+        # A v2 store keeps its per-count row tables; this build reads delta
+        # segments only, so it must refuse the file rather than add tables.
+        path = tmp_path / "v2.sqlite"
+        with sqlite3.connect(path) as conn:
+            conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+            conn.execute("INSERT INTO meta VALUES ('schema_version', '2')")
+            conn.execute(
+                "CREATE TABLE round_cell_counts (kind INTEGER, time INTEGER, "
+                "cell INTEGER, n INTEGER)"
+            )
+        conn.close()
+        with pytest.raises(StoreError, match="schema v2, .* migrate or use a new path"):
+            TraceStore(path)
+        conn = sqlite3.connect(path)
+        tables = {
+            row[0] for row in conn.execute("SELECT name FROM sqlite_master WHERE type='table'")
+        }
+        conn.close()
+        assert tables == {"meta", "round_cell_counts"}
 
     def test_unopenable_path_raises_store_error(self, tmp_path):
         with pytest.raises(StoreError, match="cannot open"):
@@ -471,18 +496,14 @@ class TestAcceleratorMaintenance:
             parts = list(stream_shard_releases(engine, db, plan))
             for users, times, batch in parts:
                 server.ingest_shard(users, times, batch, shard=plan.shard_of(int(users[0])))
-            counts = store.connection.execute(
-                "SELECT SUM(n) FROM round_cell_counts"
-            ).fetchone()
+            counts = _summed_counts(store)
             users, times, batch = parts[0]
             store.commit_shard(
                 plan.shard_of(int(users[0])),
                 np.asarray(users), np.asarray(times), batch,
                 true_cells=np.asarray(batch.cells),
             )
-            assert store.connection.execute(
-                "SELECT SUM(n) FROM round_cell_counts"
-            ).fetchone() == counts
+            assert _summed_counts(store) == counts
 
     def test_partial_round_overlap_rejected(self, world, engine):
         with TraceStore(":memory:") as store:
@@ -519,9 +540,67 @@ class TestAcceleratorMaintenance:
             assert _tables(store) == before
 
 
-_STORE_TABLES = (
-    "releases", "shard_commits", "round_cell_counts", "round_flows", "user_summary",
-)
+_STORE_TABLES = ("releases", "shard_commits", "shard_deltas", "user_summary")
+
+
+def _summed_counts(store):
+    """Total head count over every delta segment (both kinds)."""
+    return sum(
+        int(segment.cell_counts[:, -1].sum())
+        for segment in accelerator.delta_segments(store.connection)
+    )
+
+
+def _shifted_tables(width):
+    """Non-negative int64 ``(n, width)`` tables, each column at its own magnitude.
+
+    Right-shifting full-range values by a per-column 0-63 bits spreads the
+    columns over every dtype the codec narrows to, values >= 2**32 included.
+    """
+    values = arrays(
+        np.int64,
+        st.tuples(st.integers(0, 40), st.just(width)),
+        elements=st.integers(0, 2**63 - 1),
+    )
+    shifts = st.lists(st.integers(0, 63), min_size=width, max_size=width)
+    return st.builds(lambda rows, bits: rows >> np.array(bits, dtype=np.int64), values, shifts)
+
+
+class TestDeltaSegments:
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.one_of(_shifted_tables(4), _shifted_tables(5)))
+    def test_codec_round_trips_exactly(self, rows):
+        decoded = accelerator.decode_rows(accelerator.encode_rows(rows))
+        assert decoded.dtype == np.int64
+        assert decoded.shape == rows.shape
+        assert np.array_equal(decoded, rows)
+
+    @pytest.mark.parametrize("width", [4, 5])
+    def test_codec_round_trips_empty_and_wide_tables(self, width):
+        empty = np.empty((0, width), dtype=np.int64)
+        assert accelerator.decode_rows(accelerator.encode_rows(empty)).shape == (0, width)
+        wide = np.array([[2**32, 2**63 - 1] + [0] * (width - 2)], dtype=np.int64)
+        assert np.array_equal(accelerator.decode_rows(accelerator.encode_rows(wide)), wide)
+
+    def test_one_segment_per_commit(self, world, db, engine):
+        with TraceStore(":memory:") as store:
+            _run(world, db, engine, store)
+            shards = [segment.shard for segment in accelerator.delta_segments(store.connection)]
+            assert sorted(shards) == sorted({shard for shard, _ in store.committed()})
+            store.verify()
+
+    def test_verify_names_a_broken_mark(self, world, db, engine):
+        with TraceStore(":memory:") as store:
+            _run(world, db, engine, store)
+            shard, time = min(store.committed())
+            with store.connection:
+                store.connection.execute(
+                    "UPDATE shard_commits SET n_rows = n_rows + 1 "
+                    "WHERE shard = ? AND round = ?",
+                    (shard, time),
+                )
+            with pytest.raises(StoreError, match=r"shard_commits\.n_rows"):
+                store.verify()
 
 
 def _tables(store):

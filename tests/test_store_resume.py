@@ -196,9 +196,10 @@ def test_sigkill_mid_run_then_resume_is_bit_identical(
     )
     _assert_matches(server, reference)
 
-    # And the store itself now holds every pair.
+    # And the store itself now holds every pair, its accelerator intact.
     with TraceStore(store_path) as store:
         assert store.committed() == expected
+        store.verify()
 
 
 # ----------------------------------------------------------------------
@@ -223,6 +224,7 @@ def test_any_committed_prefix_resumes_to_reference(world, db, engine, reference,
             store=store, resume=True,
         )
         _assert_matches(server, reference)
+        store.verify()
 
 
 # ----------------------------------------------------------------------
