@@ -10,6 +10,7 @@ is how the experiments report the total privacy cost of the tracing protocol.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 from repro.errors import BudgetError, ValidationError
 from repro.utils.validation import check_non_negative
 
-__all__ = ["BudgetEntry", "BudgetLedger"]
+__all__ = ["BudgetEntry", "BudgetLedger", "running_total"]
 
 
 def _epsilon_column(epsilons) -> np.ndarray:
@@ -27,6 +28,29 @@ def _epsilon_column(epsilons) -> np.ndarray:
         return np.asarray(epsilons, dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"epsilons must be numbers: {exc}") from exc
+
+
+def running_total(epsilons) -> float:
+    """``epsilons`` added in order as one scalar running sum from ``0.0``.
+
+    This is the ledger's accumulation: :meth:`BudgetLedger.charge` adds
+    each charge to its user's running total, and
+    :meth:`BudgetLedger.charge_many`'s ``np.add.at`` adds the rows one at a
+    time in row order, so one user's charges folded here in charge order
+    give that user's ledger total bit for bit.  Raises
+    :class:`~repro.errors.ValidationError` at the first value that is not a
+    finite number >= 0, as the ledger refuses it.
+    """
+    total = 0.0
+    for epsilon in epsilons:
+        try:
+            value = float(epsilon)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"epsilons must be numbers: {exc}") from exc
+        if not (math.isfinite(value) and value >= 0):
+            raise ValidationError(f"epsilon must be a finite number >= 0, got {value}")
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -57,6 +81,10 @@ class BudgetLedger:
         :attr:`entries` / :meth:`spent_in_window` / :meth:`by_purpose`
         cover only recorded entries.  Store-backed runs lose nothing: the
         ``releases`` table *is* the durable per-charge log.
+
+    Each user's total is the :func:`running_total` of that user's charges
+    in charge order, whichever of :meth:`charge` and :meth:`charge_many`
+    recorded them.
     """
 
     def __init__(self, cap: float | None = None, record_entries: bool = True) -> None:
@@ -92,8 +120,9 @@ class BudgetLedger:
 
         Semantically ``for u, t, e in zip(...): self.charge(u, t, e,
         purpose)``, in one vectorised fold.  ``np.add.at`` adds the rows
-        into the per-user totals one at a time in row order, so every total
-        is bit-identical to the scalar loop's.  With ``record_entries`` the
+        into the per-user totals one at a time in row order (the
+        :func:`running_total` order), so every total is bit-identical to
+        the scalar loop's.  With ``record_entries`` the
         rows are kept as one column chunk and become :class:`BudgetEntry`
         objects only when :attr:`entries` (or a query over them) is read.
 

@@ -4,9 +4,11 @@ Every query here is answered from the accelerator layout
 (:mod:`repro.store.accelerator`) — per-commit delta segments, per-user
 bounds and the ``releases`` covering indexes — in time proportional to the
 *answer*, never to the stored population.  The aggregates read an
-in-memory fold of the delta segments: each segment is decoded once, and
-every query first folds only the segments committed since the last one it
-saw, so a long-lived engine stays exact while a writer commits beside it.
+in-memory fold of the delta segments: each segment is decoded once.
+Every query starts with one version probe (the largest segment id, which
+moves exactly when a commit lands); only when it moved does the engine
+re-read the commit marks and fold the new segments, so a long-lived engine
+stays exact while a writer commits beside it.
 Each answer is bit-identical to its naive full-scan counterpart in
 :mod:`repro.query.reference`:
 
@@ -14,7 +16,8 @@ Each answer is bit-identical to its naive full-scan counterpart in
   addition, which no aggregation order can perturb;
 * the only float arithmetic (contact rate, R0, epsilon accumulation) is the
   *same expression over the same integers* — or, for epsilon spend, the
-  same scalar accumulation order (time-ascending per user) the server's
+  same scalar accumulation (:func:`~repro.core.accounting.running_total`,
+  time-ascending per user) the server's
   :class:`~repro.core.accounting.BudgetLedger` uses.
 
 Consistency follows the live-metrics coverage-frontier rule: a window is
@@ -33,12 +36,12 @@ from __future__ import annotations
 import os
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, AbstractSet, Mapping
 
 import numpy as np
 
-from repro.core.accounting import BudgetLedger
+from repro.core.accounting import running_total
 from repro.errors import DataError, SnapshotUnavailableError, StoreError, ValidationError
 from repro.geo.grid import GridWorld
 from repro.server.live_metrics import missing_shards
@@ -58,6 +61,21 @@ __all__ = [
 
 _KINDS = {"observed": KIND_OBSERVED, "true": KIND_TRUE}
 
+#: The commit version: every commit appends exactly one segment, in the
+#: transaction that writes its marks, and segment ids ascend.
+_VERSION = "SELECT COALESCE(MAX(id), 0) FROM shard_deltas"
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; Python and numpy integers only, never a bool.
+
+    ``int()`` alone would truncate ``2.7`` to ``2`` and read ``True`` as
+    ``1``, answering a different window or user than the one asked for.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True, order=True)
 class Window:
@@ -74,10 +92,12 @@ class Window:
     end: int
 
     def __post_init__(self) -> None:
-        if int(self.end) < int(self.start):
-            raise ValidationError(f"window end {self.end} precedes start {self.start}")
-        object.__setattr__(self, "start", int(self.start))
-        object.__setattr__(self, "end", int(self.end))
+        start = _integer("window start", self.start)
+        end = _integer("window end", self.end)
+        if end < start:
+            raise ValidationError(f"window end {end} precedes start {start}")
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
     def __len__(self) -> int:
         return self.end - self.start + 1
@@ -92,22 +112,19 @@ def tumbling_windows(start: int, end: int, width: int) -> list[Window]:
     The last window is clipped at ``end`` when the span is not an exact
     multiple of ``width``.
     """
+    start, end, width = _integer("start", start), _integer("end", end), _integer("width", width)
     if width < 1:
         raise ValidationError(f"window width must be >= 1, got {width}")
-    return [
-        Window(low, min(low + width - 1, int(end)))
-        for low in range(int(start), int(end) + 1, int(width))
-    ]
+    return [Window(low, min(low + width - 1, end)) for low in range(start, end + 1, width)]
 
 
 def sliding_windows(start: int, end: int, width: int, step: int = 1) -> list[Window]:
     """``width``-round windows advancing by ``step``, clipped at ``end``."""
+    start, end = _integer("start", start), _integer("end", end)
+    width, step = _integer("width", width), _integer("step", step)
     if width < 1 or step < 1:
         raise ValidationError(f"window width/step must be >= 1, got {width}/{step}")
-    return [
-        Window(low, min(low + width - 1, int(end)))
-        for low in range(int(start), int(end) + 1, int(step))
-    ]
+    return [Window(low, min(low + width - 1, end)) for low in range(start, end + 1, step)]
 
 
 @dataclass(frozen=True)
@@ -128,6 +145,34 @@ class WindowContactRate:
     observations: int
 
 
+@dataclass(frozen=True)
+class _Coverage:
+    """The consistency state of one commit version, published whole.
+
+    ``version`` is the probe that triggered the build; ``committed`` and
+    the rest were read after it, so they hold at least that version's
+    commits.  ``expected`` is the caller's schedule, or the conservative
+    one derived from the marks and the manifest's ``n_shards`` (``None``
+    while the store has no manifest).  ``true_summaries`` is
+    :meth:`~repro.store.TraceStore.maintains_true_summaries`.
+    """
+
+    version: int
+    committed: frozenset
+    expected: Mapping[int, AbstractSet[int]]
+    n_shards: "int | None"
+    true_summaries: "bool | None"
+    _missing: dict = field(default_factory=dict, compare=False)
+
+    def missing(self, upto: int) -> list[int]:
+        """:func:`~repro.server.live_metrics.missing_shards`, memoised per ``upto``."""
+        upto = int(upto)
+        found = self._missing.get(upto)
+        if found is None:
+            found = self._missing[upto] = tuple(missing_shards(self.expected, self.committed, upto))
+        return list(found)
+
+
 class _SegmentFold:
     """A store's delta segments folded per ``(kind, round)``, refreshed incrementally.
 
@@ -135,11 +180,14 @@ class _SegmentFold:
     merged, because pair events ``n (n - 1) / 2`` do not add across
     segments — and table ``flows`` each round's ``(src, dst, n)`` cell
     flows, duplicates across segments kept (the area regroup sums them
-    anyway).  Every read first folds only the segments with ids above the
-    largest one already folded; segment ids ascend in commit order, so the
-    fold always equals the merge of a commit prefix.  Partitioning by round
+    anyway).  A refresh folds only the segments with ids above the largest
+    one already folded; segment ids ascend in commit order, so the fold
+    always equals the merge of a commit prefix.  Partitioning by round
     bounds a refresh's temporary copies by one round's rows and lets a window
     read only the rounds it spans.
+
+    ``lock`` also guards the engine's coverage rebuilds, so one lock orders
+    every read of marks and segments the engine shares across threads.
     """
 
     #: Columns per round of each table.
@@ -150,12 +198,23 @@ class _SegmentFold:
         self.tables: dict[str, dict[int, dict[int, np.ndarray]]] = {
             name: {kind: {} for kind in _KINDS.values()} for name in self.WIDTHS
         }
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
+        # The newest coverage version the fold was refreshed after.
+        self._synced: "int | None" = None
 
-    def rows(self, connection, name: str, kind: int, window: "Window") -> np.ndarray:
-        """Table ``name``'s ``kind`` rows over the rounds in ``window``."""
-        with self._lock:
-            self._refresh(connection)
+    def rows(
+        self, connection, name: str, kind: int, window: "Window", coverage: _Coverage
+    ) -> np.ndarray:
+        """Table ``name``'s ``kind`` rows over the rounds in ``window``.
+
+        Refreshes first unless a refresh already ran after ``coverage`` (or
+        a newer state) was built: a refresh reads every segment committed
+        before it starts, so it covers every mark the state holds.
+        """
+        with self.lock:
+            if self._synced is None or coverage.version > self._synced:
+                self._refresh(connection)
+                self._synced = coverage.version
             parts = [rows for time, rows in self.tables[name][kind].items() if time in window]
         if not parts:
             return np.empty((0, self.WIDTHS[name]), dtype=np.int64)
@@ -230,6 +289,9 @@ class QueryEngine:
         self.p_transmit = float(p_transmit)
         self.gamma = float(gamma)
         self._fold = _SegmentFold()
+        self._coverage: _Coverage | None = None
+        # (block_rows, block_cols) -> area id of every cell of the world.
+        self._area_maps: dict[tuple[int, int], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -265,41 +327,96 @@ class QueryEngine:
         """Shards still owed a commit at any round ``<= upto`` (sorted).
 
         :func:`~repro.server.live_metrics.missing_shards` over the store's
-        commit marks — the rule live snapshots freeze by.
+        commit marks — the rule live snapshots freeze by.  One version
+        probe; the marks are re-read only when a commit has landed since
+        the last call.
         """
+        return self._current().missing(upto)
+
+    def _current(self) -> _Coverage:
+        """The coverage state of the store's current commit version.
+
+        The probe runs first and the marks after it, so a state never holds
+        fewer commits than its version names; it is rebuilt under the
+        fold's lock and published as one object, so threads sharing the
+        engine each see a whole state.
+        """
+        (version,) = self.store.connection.execute(_VERSION).fetchone()
+        coverage = self._coverage
+        if coverage is not None and coverage.version >= version:
+            return coverage
+        with self._fold.lock:
+            coverage = self._coverage
+            if coverage is None or coverage.version < version:
+                coverage = self._coverage = self._build_coverage(version, coverage)
+        return coverage
+
+    def _build_coverage(self, version: int, previous: "_Coverage | None") -> _Coverage:
         committed = self.store.committed()
+        n_shards = None if previous is None else previous.n_shards
+        true_summaries = None if previous is None else previous.true_summaries
+        # Both are written once and never change: re-read only while absent.
+        if true_summaries is None:
+            true_summaries = self.store.maintains_true_summaries()
         expected = self._expected
         if expected is None:
+            if n_shards is None:
+                manifest = self.store.manifest()
+                n_shards = None if manifest is None else manifest.n_shards
             rounds = frozenset(time for _, time in committed)
-            manifest = self.store.manifest()
-            if manifest is not None:
-                shard_ids = range(manifest.n_shards)
-            else:
-                shard_ids = sorted({shard for shard, _ in committed})
+            shard_ids = (
+                range(n_shards)
+                if n_shards is not None
+                else sorted({shard for shard, _ in committed})
+            )
             expected = {shard: rounds for shard in shard_ids}
-        return missing_shards(expected, committed, upto)
+        return _Coverage(version, committed, expected, n_shards, true_summaries)
 
-    def _check_coverage(self, upto: int) -> None:
+    def _check_coverage(self, upto: int, kind: int = KIND_OBSERVED) -> _Coverage:
+        """Refuse unless ``upto``'s rounds are covered; return the state it used."""
         missing = self.missing_shards(upto)
+        coverage = self._coverage
+        if kind == KIND_TRUE and coverage.true_summaries is not True:
+            raise StoreError(
+                f"trace store {self.store.path!r} holds no true-side "
+                "accelerator summaries (its commits never passed true_cells)"
+            )
         if missing:
             raise SnapshotUnavailableError(
                 f"window through round {upto} is not consistent yet: "
                 f"waiting on shard commit(s) {missing}"
             )
+        return coverage
 
-    def _kind(self, kind: str) -> int:
+    @staticmethod
+    def _kind(kind: str) -> int:
         try:
-            code = _KINDS[kind]
+            return _KINDS[kind]
         except KeyError:
             raise ValidationError(
                 f"kind must be one of {sorted(_KINDS)}, got {kind!r}"
             ) from None
-        if code == KIND_TRUE and self.store.maintains_true_summaries() is not True:
-            raise StoreError(
-                f"trace store {self.store.path!r} holds no true-side "
-                "accelerator summaries (its commits never passed true_cells)"
+
+    def _rows(self, name: str, kind: str, window: Window) -> np.ndarray:
+        """The folded ``name`` rows of ``kind`` over ``window``, coverage-checked."""
+        code = self._kind(kind)
+        coverage = self._check_coverage(window.end, code)
+        return self._fold.rows(self.store.connection, name, code, window, coverage)
+
+    def _area_map(self, block_rows: int, block_cols: int) -> np.ndarray:
+        """Area id of every cell under one tiling, built once per engine.
+
+        Threads racing on a new tiling may each build the map; the copies
+        are equal, so whichever is kept is exact.
+        """
+        key = (block_rows, block_cols)
+        areas = self._area_maps.get(key)
+        if areas is None:
+            world = self.world
+            areas = self._area_maps[key] = world.area_of_batch(
+                np.arange(world.n_cells), block_rows, block_cols
             )
-        return code
+        return areas
 
     # ------------------------------------------------------------------
     # Windowed aggregates
@@ -312,9 +429,7 @@ class QueryEngine:
         population.  Raises :class:`~repro.errors.DataError` for a window
         with no observations (both sides of the bit-check agree on that).
         """
-        code = self._kind(kind)
-        self._check_coverage(window.end)
-        _, counts = self._fold.rows(self.store.connection, "counts", code, window).T
+        _, counts = self._rows("counts", kind, window).T
         observations = int(counts.sum())
         if observations == 0:
             raise DataError("window contains no observations")
@@ -343,20 +458,23 @@ class QueryEngine:
         area tiling — any ``(block_rows, block_cols)`` is exact, because the
         cell-level counts are the finest grain.
         """
-        code = self._kind(kind)
-        self._check_coverage(window.end)
+        src, dst, counts = self._rows("flows", kind, window).T
         world = self.world
         n_areas = world.n_areas(block_rows, block_cols)  # validates the tiling args
-        src, dst, counts = self._fold.rows(self.store.connection, "flows", code, window).T
         if not len(counts):
             return Counter()
-        # GridWorld.area_of_batch is the integer map the full scan's
-        # LocationMonitor applies; bincount sums integer weights exactly
-        # (far below 2**53), so the Counter equals the full scan bitwise.
-        codes = (
-            world.area_of_batch(src, block_rows, block_cols) * n_areas
-            + world.area_of_batch(dst, block_rows, block_cols)
-        )
+        # The area map is GridWorld.area_of_batch over every cell, the
+        # integer map the full scan's LocationMonitor applies; bincount sums
+        # integer weights exactly (far below 2**53), so the Counter equals
+        # the full scan bitwise.
+        areas = self._area_map(block_rows, block_cols)
+        try:
+            codes = areas[src] * n_areas + areas[dst]
+        except IndexError:
+            raise ValidationError(
+                f"cell id out of range in flow_matrix: the store holds cells "
+                f"beyond this {world.n_cells}-cell world; pass the run's world"
+            ) from None
         totals = np.bincount(codes, weights=counts)
         pairs = np.flatnonzero(totals)
         src_areas, dst_areas = np.divmod(pairs, n_areas)
@@ -377,40 +495,33 @@ class QueryEngine:
         accelerator and full-scan rankings agree exactly, not just up to
         tie shuffling.
         """
-        if int(k) < 1:
+        k = _integer("k", k)
+        if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        code = self._kind(kind)
-        self._check_coverage(window.end)
-        cells, counts = self._fold.rows(self.store.connection, "counts", code, window).T
+        cells, counts = self._rows("counts", kind, window).T
         totals = np.bincount(cells, weights=counts).astype(np.int64)
         busy = np.flatnonzero(totals)
-        ranked = busy[np.lexsort((busy, -totals[busy]))][: int(k)]
+        ranked = busy[np.lexsort((busy, -totals[busy]))][:k]
         return list(zip(ranked.tolist(), totals[ranked].tolist()))
 
     def epsilon_spent(self, user: int, window: Window) -> float:
         """One user's epsilon expenditure over the window, ledger-exact.
 
         A clustered primary-key range read of that user's rows (times
-        ascending), folded through a
-        :class:`~repro.core.accounting.BudgetLedger` — the same scalar
-        accumulation order the live server's ledger charges in, so the
-        value is bit-identical to both the full-scan reference and the
-        server's own in-window total.
+        ascending), summed by :func:`~repro.core.accounting.running_total` —
+        the accumulation the live server's ledger charges by, so the value
+        is bit-identical to both the full-scan reference and the server's
+        own in-window total.  A stored epsilon that is not a finite number
+        >= 0 raises :class:`~repro.errors.ValidationError`.
         """
+        user = _integer("user", user)
         self._check_coverage(window.end)
         rows = self.store.connection.execute(
-            "SELECT time, epsilon FROM releases "
+            "SELECT epsilon FROM releases "
             "WHERE user = ? AND time BETWEEN ? AND ? ORDER BY time",
-            (int(user), window.start, window.end),
+            (user, window.start, window.end),
         ).fetchall()
-        ledger = BudgetLedger(record_entries=False)
-        ledger.charge_many(
-            [int(user)] * len(rows),
-            [time for time, _ in rows],
-            [epsilon for _, epsilon in rows],
-            purpose="query",
-        )
-        return ledger.spent(int(user))
+        return running_total(epsilon for (epsilon,) in rows)
 
     def trajectory(self, user: int, window: Window | None = None) -> "list[CheckIn]":
         """One user's released check-ins over the window, times ascending.
@@ -421,21 +532,25 @@ class QueryEngine:
         """
         from repro.mobility.trajectory import CheckIn
 
+        user = _integer("user", user)
         if window is None:
-            bounds = self.store.connection.execute(
-                "SELECT min_time, max_time FROM user_summary WHERE user = ?",
-                (int(user),),
-            ).fetchone()
-            if bounds is None:
+            # The whole history, checked through its last round.  Reading
+            # the rows before the marks is safe here: a commit carries each
+            # user's whole trace, so rows that are visible are all of them.
+            rows = self.store.connection.execute(
+                "SELECT time, cell FROM releases WHERE user = ? ORDER BY time", (user,)
+            ).fetchall()
+            if not rows:
                 return []
-            window = Window(int(bounds[0]), int(bounds[1]))
-        self._check_coverage(window.end)
-        rows = self.store.connection.execute(
-            "SELECT time, cell FROM releases "
-            "WHERE user = ? AND time BETWEEN ? AND ? ORDER BY time",
-            (int(user), window.start, window.end),
-        ).fetchall()
-        return [CheckIn(time=int(time), user=int(user), cell=int(cell)) for time, cell in rows]
+            self._check_coverage(rows[-1][0])
+        else:
+            self._check_coverage(window.end)
+            rows = self.store.connection.execute(
+                "SELECT time, cell FROM releases "
+                "WHERE user = ? AND time BETWEEN ? AND ? ORDER BY time",
+                (user, window.start, window.end),
+            ).fetchall()
+        return [CheckIn(time=int(time), user=user, cell=int(cell)) for time, cell in rows]
 
     # ------------------------------------------------------------------
     def summary(self) -> dict:

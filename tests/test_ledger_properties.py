@@ -9,16 +9,18 @@ over them (``len``, ``spent_in_window``, ``by_purpose``, ``total_spent``,
 ``users``) must agree.  Epsilons are drawn from values whose sums round
 (0.1 and 0.05 interleave), so a change of accumulation order shows.  Capped
 ledgers and invalid epsilons must refuse at the same row, leaving the same
-prefix charged.
+prefix charged.  ``running_total``, the accumulation the ledger documents,
+must give each user's total from that user's charges in charge order.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.accounting import BudgetLedger
+from repro.core.accounting import BudgetLedger, running_total
 from repro.errors import BudgetError, ValidationError
 
 #: Values whose running sums round differently depending on the order of
@@ -145,3 +147,26 @@ def test_invalid_epsilon_refused_at_its_row(batch, position, bad, cap):
     else:
         raise AssertionError("check_many accepted an invalid epsilon")
     assert checked.users() == frozenset()
+
+
+@settings(deadline=None, max_examples=150)
+@given(operations)
+def test_running_total_is_each_users_ledger_total(ops):
+    bulk, scalar = BudgetLedger(), BudgetLedger()
+    charged: dict[int, list[float]] = {}
+    for operation in ops:
+        assert _apply(bulk, operation, True) is None
+        assert _apply(scalar, operation, False) is None
+        kind, payload, _ = operation
+        for user, _, epsilon in [payload] if kind == "scalar" else payload:
+            charged.setdefault(user, []).append(epsilon)
+    for user, epsilons in charged.items():
+        total = running_total(epsilons).hex()
+        assert total == bulk.spent(user).hex() == scalar.spent(user).hex()
+
+
+@settings(deadline=None, max_examples=50)
+@given(rows, bad_epsilons)
+def test_running_total_refuses_what_the_ledger_refuses(batch, bad):
+    with pytest.raises(ValidationError, match="finite number >= 0"):
+        running_total([epsilon for _, _, epsilon in batch] + [bad])

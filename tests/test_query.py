@@ -9,12 +9,15 @@ refusal rule (half-covered windows name the shards they wait on), awkward
 stores (empty windows, coverage gaps, ``:memory:``, resumed mid-run), and a
 Hypothesis property: under *any* interleaving of shard commits and window
 queries, each query either refuses or returns the exact full-scan answer
-for the committed prefix.
+for the committed prefix.  A statement budget pins the per-query cost of a
+warm engine: one version probe, plus the row read of a per-user query.
 """
 
+import sqlite3
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +38,7 @@ from repro.mobility.synthetic import geolife_like
 from repro.mobility.trajectory import TraceDB
 from repro.query import QueryEngine, Window, sliding_windows, tumbling_windows
 from repro.query import reference as ref
-from repro.server.live_metrics import expected_coverage
+from repro.server.live_metrics import expected_coverage, missing_shards
 from repro.server.pipeline import Server, run_release_rounds_batched
 from repro.store import RunManifest, TraceStore
 
@@ -308,6 +311,48 @@ class TestAwkwardStores:
             with pytest.raises(ValidationError, match="kind"):
                 engine_q.contact_rate(FULL, kind="snapped")
 
+    def test_epsilon_spent_refuses_corrupt_stored_epsilon(self, world, db, engine):
+        # A stored epsilon that is not a finite number >= 0 is refused, as
+        # the ledger refuses it, never summed into a silently wrong total.
+        _, store = _store_run(world, db, engine, 1, "serial")
+        with store:
+            engine_q = QueryEngine(store, world=world)
+            user = sorted(store.users())[0]
+            time = engine_q.trajectory(user)[0].time
+            update = "UPDATE releases SET epsilon = ? WHERE user = ? AND time = ?"
+            # SQLite has no NaN REAL: a bound NaN becomes NULL, which the
+            # column's NOT NULL refuses, so the NaN an UPDATE can leave is
+            # its text spelling (kept as TEXT by the REAL affinity).
+            with pytest.raises(sqlite3.IntegrityError), store.connection:
+                store.connection.execute(update, (float("nan"), user, time))
+            for bad in ("NaN", float("inf"), -1.0):
+                with store.connection:
+                    store.connection.execute(update, (bad, user, time))
+                with pytest.raises(ValidationError, match="finite number >= 0"):
+                    engine_q.epsilon_spent(user, FULL)
+
+    def test_non_integer_user_and_k_are_refused(self, world, db, engine):
+        # int() would truncate 2.5 to 2 and read True as user 1: an answer
+        # for a different question than the one asked.
+        _, store = _store_run(world, db, engine, 1, "serial")
+        with store:
+            engine_q = QueryEngine(store, world=world)
+            user = sorted(store.users())[0]
+            for bad in (user + 0.5, True):
+                with pytest.raises(ValidationError, match="user must be an integer"):
+                    engine_q.epsilon_spent(bad, FULL)
+                with pytest.raises(ValidationError, match="user must be an integer"):
+                    engine_q.trajectory(bad)
+            for bad in (2.5, True):
+                with pytest.raises(ValidationError, match="k must be an integer"):
+                    engine_q.top_cells(FULL, bad)
+            # numpy integers, which stores hand back, are accepted as ints.
+            assert engine_q.epsilon_spent(np.int64(user), FULL) == engine_q.epsilon_spent(
+                user, FULL
+            )
+            assert engine_q.trajectory(np.int64(user)) == engine_q.trajectory(user)
+            assert engine_q.top_cells(FULL, np.int32(3)) == engine_q.top_cells(FULL, 3)
+
     def test_bare_store_without_manifest_needs_world(self, engine):
         with TraceStore(":memory:") as store:
             # One 2-step trace, so the window holds a real transition and
@@ -475,10 +520,41 @@ class TestLongLivedEngine:
     PROBES = [Window(0, 1), Window(0, 3), Window(2, 5), Window(4, HORIZON - 1), FULL]
 
     @staticmethod
-    def _probe(engine_q, store, world):
+    def _full_scan_missing(store, expected, upto):
+        """The coverage rule over a fresh read of the marks (and manifest)."""
+        committed = store.committed()
+        if expected is None:
+            rounds = {time for _, time in committed}
+            manifest = store.manifest()
+            shards = (
+                range(manifest.n_shards)
+                if manifest is not None
+                else {shard for shard, _ in committed}
+            )
+            expected = {shard: rounds for shard in shards}
+        return missing_shards(expected, committed, upto)
+
+    @staticmethod
+    def _probe(engine_q, store, world, expected, users):
         """Every probe answers exactly as the full scan of the current prefix, or refuses."""
+        scan_missing = TestLongLivedEngine._full_scan_missing
         for window in TestLongLivedEngine.PROBES:
-            if engine_q.missing_shards(window.end):
+            missing = scan_missing(store, expected, window.end)
+            assert engine_q.missing_shards(window.end) == missing
+            for user in users:
+                if missing:
+                    with pytest.raises(SnapshotUnavailableError):
+                        engine_q.epsilon_spent(user, window)
+                    with pytest.raises(SnapshotUnavailableError):
+                        engine_q.trajectory(user, window)
+                    continue
+                assert engine_q.epsilon_spent(user, window) == ref.full_scan_epsilon_spent(
+                    store, user, window
+                )
+                assert engine_q.trajectory(user, window) == ref.full_scan_trajectory(
+                    store, user, window
+                )
+            if missing:
                 with pytest.raises(SnapshotUnavailableError):
                     engine_q.top_cells(window, 4)
                 continue
@@ -496,6 +572,14 @@ class TestLongLivedEngine:
                     ref.full_scan_contact_rate(store, window)
             else:
                 assert got == ref.full_scan_contact_rate(store, window)
+        # The whole history is checked through the user's last stored round.
+        for user in users:
+            want = ref.full_scan_trajectory(store, user)
+            if want and scan_missing(store, expected, want[-1].time):
+                with pytest.raises(SnapshotUnavailableError):
+                    engine_q.trajectory(user)
+            else:
+                assert engine_q.trajectory(user) == want
 
     @settings(
         max_examples=10,
@@ -506,12 +590,37 @@ class TestLongLivedEngine:
     def test_writer_connection_engine_survives_commits(self, staggered, data):
         world, sdb, _, plan, parts = staggered
         order = data.draw(st.permutations(sorted(parts)))
+        expected = expected_coverage(plan, sdb)
+        users = sorted(sdb.users())
         with TraceStore(":memory:") as store:
-            engine_q = QueryEngine(store, world=world, expected=expected_coverage(plan, sdb))
-            self._probe(engine_q, store, world)
+            engine_q = QueryEngine(store, world=world, expected=expected)
+            self._probe(engine_q, store, world, expected, users)
             for shard in order:
                 _commit(world, store, plan, parts, [shard])
-                self._probe(engine_q, store, world)
+                self._probe(engine_q, store, world, expected, users)
+
+    @settings(
+        max_examples=10,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_manifest_schedule_engine_survives_commits(self, staggered, data):
+        # Without expected= the engine derives the conservative schedule
+        # from the marks and the run manifest.  The engine is built before
+        # begin_run records that manifest, so its state must pick the
+        # manifest up once commits land, and follow every commit after.
+        world, sdb, engine, plan, parts = staggered
+        order = data.draw(st.permutations(sorted(parts)))
+        users = sorted(sdb.users())
+        with TraceStore(":memory:") as store:
+            engine_q = QueryEngine(store, world=world)
+            self._probe(engine_q, store, world, None, users)
+            store.begin_run(RunManifest.for_run(engine, plan, world))
+            self._probe(engine_q, store, world, None, users)
+            for shard in order:
+                _commit(world, store, plan, parts, [shard])
+                self._probe(engine_q, store, world, None, users)
 
     @settings(
         max_examples=10,
@@ -524,16 +633,18 @@ class TestLongLivedEngine:
         # a new segment id, exactly as a monitor beside a live run does.
         world, sdb, _, plan, parts = staggered
         order = data.draw(st.permutations(sorted(parts)))
+        expected = expected_coverage(plan, sdb)
+        users = sorted(sdb.users())
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "live.sqlite"
             with TraceStore(path) as store, QueryEngine(
-                path, world=world, expected=expected_coverage(plan, sdb)
+                path, world=world, expected=expected
             ) as engine_q:
                 assert engine_q.store is not store
-                self._probe(engine_q, engine_q.store, world)
+                self._probe(engine_q, engine_q.store, world, expected, users)
                 for shard in order:
                     _commit(world, store, plan, parts, [shard])
-                    self._probe(engine_q, engine_q.store, world)
+                    self._probe(engine_q, engine_q.store, world, expected, users)
                 store.verify()
 
 
@@ -542,13 +653,14 @@ class TestLongLivedEngine:
         # segment folded twice (or lost) would break the final full-scan
         # equality.  A tiny switch interval forces interleavings.
         world, sdb, _, plan, parts = staggered
+        expected = expected_coverage(plan, sdb)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with tempfile.TemporaryDirectory() as tmp:
                 path = Path(tmp) / "shared.sqlite"
                 with TraceStore(path) as store, QueryEngine(
-                    path, world=world, expected=expected_coverage(plan, sdb)
+                    path, world=world, expected=expected
                 ) as engine_q:
                     done = threading.Event()
                     errors = []
@@ -575,9 +687,172 @@ class TestLongLivedEngine:
                             thread.join(timeout=60)
                     assert not any(thread.is_alive() for thread in threads)
                     assert errors == []
-                    self._probe(engine_q, engine_q.store, world)
+                    self._probe(engine_q, engine_q.store, world, expected, sorted(sdb.users()))
         finally:
             sys.setswitchinterval(interval)
+
+    def test_threads_sharing_one_engine_answer_exactly(self, staggered):
+        # Readers race on the shared coverage state, fold and area maps
+        # while commits land.  Rounds 0-1 are final once shards 0 and 1
+        # have committed, so every answer a reader is given for them must
+        # equal the final full scan: a stale coverage state or a fold that
+        # missed a segment would answer from less.
+        world, sdb, _, plan, parts = staggered
+        early = Window(0, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "shared.sqlite"
+                with TraceStore(path) as store, QueryEngine(
+                    path, world=world, expected=expected_coverage(plan, sdb)
+                ) as engine_q:
+                    queries = {
+                        "contact": lambda: engine_q.contact_rate(early),
+                        "flows 4x4": lambda: engine_q.flow_matrix(early),
+                        "flows 2x3": lambda: engine_q.flow_matrix(early, "observed", 2, 3),
+                        "top": lambda: engine_q.top_cells(early, 4),
+                        "epsilon": lambda: engine_q.epsilon_spent(0, early),
+                    }
+                    done = threading.Event()
+                    answers, errors = [], []
+
+                    def reader():
+                        while not done.is_set():
+                            for name, query in queries.items():
+                                try:
+                                    answers.append((name, query()))
+                                except SnapshotUnavailableError:
+                                    pass
+                                except Exception as exc:  # reported below
+                                    errors.append(exc)
+                                    return
+
+                    threads = [threading.Thread(target=reader) for _ in range(4)]
+                    for thread in threads:
+                        thread.start()
+                    try:
+                        for shard in sorted(parts):
+                            _commit(world, store, plan, parts, [shard])
+                        # Let every query answer at least once before stopping.
+                        deadline = time.monotonic() + 30
+                        while {name for name, _ in answers} != set(queries) and not errors:
+                            assert time.monotonic() < deadline
+                            time.sleep(0.01)
+                    finally:
+                        done.set()
+                        for thread in threads:
+                            thread.join(timeout=60)
+                    assert not any(thread.is_alive() for thread in threads)
+                    assert errors == []
+                    reader_store = engine_q.store
+                    want = {
+                        "contact": ref.full_scan_contact_rate(reader_store, early),
+                        "flows 4x4": ref.full_scan_flow_matrix(reader_store, early, world),
+                        "flows 2x3": ref.full_scan_flow_matrix(
+                            reader_store, early, world, block_rows=2, block_cols=3
+                        ),
+                        "top": ref.full_scan_top_cells(reader_store, early, 4),
+                        "epsilon": ref.full_scan_epsilon_spent(reader_store, 0, early),
+                    }
+                    for name, answer in answers:
+                        assert answer == want[name], name
+        finally:
+            sys.setswitchinterval(interval)
+
+
+# ----------------------------------------------------------------------
+# area tilings: the per-tiling cell -> area map
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tiled():
+    """A long-lived engine over a non-square grid (7 wide, 5 high)."""
+    world = GridWorld(7, 5)
+    tdb = geolife_like(world, n_users=10, horizon=6, rng=5)
+    engine = PrivacyEngine.from_spec(world, mechanism="P-LM", policy="G1", epsilon=1.0)
+    with TraceStore(":memory:") as store:
+        run_release_rounds_batched(world, tdb, engine, rng=RNG, shards=3, store=store)
+        yield world, store, QueryEngine(store, world=world)
+
+
+class TestTilings:
+    @settings(max_examples=15, deadline=None)
+    @given(ends=st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    def test_every_tiling_equals_the_full_scan(self, tiled, ends):
+        # Every block shape from 1 up to one past each side: dividing,
+        # non-dividing and larger-than-grid tilings all regroup exactly.
+        world, store, engine_q = tiled
+        window = Window(min(ends), max(ends))
+        for block_rows in range(1, world.height + 2):
+            for block_cols in range(1, world.width + 2):
+                want = ref.full_scan_flow_matrix(
+                    store, window, world, block_rows=block_rows, block_cols=block_cols
+                )
+                assert engine_q.flow_matrix(window, "observed", block_rows, block_cols) == want, (
+                    block_rows,
+                    block_cols,
+                )
+
+
+# ----------------------------------------------------------------------
+# statement budget: what a warm engine reads per query
+# ----------------------------------------------------------------------
+
+
+class TestStatementBudget:
+    """A warm engine runs one version probe per query, plus a per-user row read.
+
+    Counted with ``set_trace_callback`` on the engine's own connection, so
+    the gate is independent of machine speed.  The commit marks are
+    re-read once per landed commit, not once per query.
+    """
+
+    def test_warm_engine_statement_budget(self, staggered):
+        world, sdb, _, plan, parts = staggered
+        early, user = Window(0, 1), 0
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "budget.sqlite"
+            with TraceStore(path) as store, QueryEngine(
+                path, world=world, expected=expected_coverage(plan, sdb)
+            ) as engine_q:
+                queries = {
+                    "missing_shards": (1, lambda: engine_q.missing_shards(early.end)),
+                    "contact_rate": (1, lambda: engine_q.contact_rate(early)),
+                    "flow_matrix": (1, lambda: engine_q.flow_matrix(early)),
+                    "flow_matrix 2x3": (1, lambda: engine_q.flow_matrix(early, "observed", 2, 3)),
+                    "top_cells": (1, lambda: engine_q.top_cells(early, 3)),
+                    "epsilon_spent": (2, lambda: engine_q.epsilon_spent(user, early)),
+                    "trajectory": (2, lambda: engine_q.trajectory(user, early)),
+                }
+                statements: list[str] = []
+
+                def check_budgets():
+                    for name, (budget, query) in queries.items():
+                        statements.clear()
+                        query()
+                        assert len(statements) <= budget, (name, statements)
+
+                engine_q.store.connection.set_trace_callback(statements.append)
+                try:
+                    _commit(world, store, plan, parts, [0, 1, 2])
+                    for _, query in queries.values():  # warm-up
+                        query()
+                    check_budgets()
+                    # The last commit completes every round; the whole
+                    # history of a user is answerable from then on.
+                    _commit(world, store, plan, parts, [3])
+                    queries["trajectory (whole history)"] = (2, lambda: engine_q.trajectory(user))
+                    statements.clear()
+                    for _ in range(3):
+                        for _, query in queries.values():
+                            query()
+                    marks = [sql for sql in statements if "FROM shard_commits" in sql]
+                    assert len(marks) == 1, marks
+                    check_budgets()
+                finally:
+                    engine_q.store.connection.set_trace_callback(None)
 
 
 # ----------------------------------------------------------------------
@@ -593,6 +868,28 @@ class TestWindows:
             tumbling_windows(0, 9, 0)
         with pytest.raises(ValidationError, match="width/step"):
             sliding_windows(0, 9, 3, step=0)
+
+    def test_endpoints_must_be_integers(self):
+        # int() would have made Window(0.5, 2.7) into Window(0, 2) and
+        # accepted Window(True, 3) as Window(1, 3).
+        for start, end in [(0.5, 2.7), (0, 2.7), (True, 3), (0, False), ("1", 3)]:
+            with pytest.raises(ValidationError, match="must be an integer"):
+                Window(start, end)
+        # The window helpers take the same integers.
+        with pytest.raises(ValidationError, match="start must be an integer"):
+            tumbling_windows(0.5, 5, 2)
+        with pytest.raises(ValidationError, match="end must be an integer"):
+            sliding_windows(0, 4.9, 2)
+        with pytest.raises(ValidationError, match="width must be an integer"):
+            tumbling_windows(0, 5, True)
+        # numpy integers, which stores hand back, are accepted as ints.
+        window = Window(np.int64(1), np.int32(4))
+        assert window == Window(1, 4)
+        assert type(window.start) is int and type(window.end) is int
+        assert tumbling_windows(np.int64(0), np.int64(5), np.int64(3)) == [
+            Window(0, 2),
+            Window(3, 5),
+        ]
 
     def test_tumbling_tiles_without_overlap(self):
         windows = tumbling_windows(0, 7, 3)
